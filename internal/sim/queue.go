@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Event is a scheduled simulation callback.
 type Event struct {
 	At     Time
@@ -19,7 +17,6 @@ func (e *Event) Cancelled() bool { return e.cancel }
 
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].At != h[j].At {
 		return h[i].At < h[j].At
@@ -31,19 +28,59 @@ func (h eventHeap) Swap(i, j int) {
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// push adds ev to the heap.
+func (h *eventHeap) push(ev *Event) {
+	ev.index = len(*h)
+	*h = append(*h, ev)
+	siftUp(*h, ev.index)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest event, marking it off-heap.
+func (h *eventHeap) pop() *Event {
 	old := *h
 	n := len(old)
-	e := old[n-1]
+	ev := old[0]
+	old.Swap(0, n-1)
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
-	return e
+	ev.index = -1
+	if n > 2 {
+		siftDown(*h, 0)
+	}
+	return ev
+}
+
+// siftUp restores the heap property from index i upward.
+func siftUp(h eventHeap, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.Less(i, parent) {
+			return
+		}
+		h.Swap(i, parent)
+		i = parent
+	}
+}
+
+// siftDown restores the heap property from index i downward.
+func siftDown(h eventHeap, i int) {
+	n := len(h)
+	for {
+		left := 2*i + 1
+		if left >= n {
+			return
+		}
+		smallest := left
+		if right := left + 1; right < n && h.Less(right, left) {
+			smallest = right
+		}
+		if !h.Less(smallest, i) {
+			return
+		}
+		h.Swap(i, smallest)
+		i = smallest
+	}
 }
 
 // Engine couples a Clock with a time-ordered event queue. It is the heart of
@@ -53,6 +90,14 @@ type Engine struct {
 	Clock *Clock
 	queue eventHeap
 	seq   int64
+
+	// Cluster bookkeeping (see Cluster): the cluster driving this engine,
+	// the engine's slot in that cluster's heap (-1 when absent), its
+	// registration index, and its key — a lower bound on its head time.
+	owner *Cluster
+	slot  int
+	reg   int
+	key   Time
 }
 
 // NewEngine returns an engine with a fresh clock at time zero.
@@ -64,14 +109,18 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.Clock.Now() }
 
 // At schedules fn to run at absolute virtual time t. If t is in the past it
-// runs at the current time (next Step).
+// runs at the current time (next Step). An event below the engine's cluster
+// key moves the engine up in its cluster's heap.
 func (e *Engine) At(t Time, fn func()) *Event {
 	if t < e.Clock.Now() {
 		t = e.Clock.Now()
 	}
 	ev := &Event{At: t, Do: fn, seq: e.seq}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
+	if e.owner != nil && (e.slot < 0 || t < e.key) {
+		e.owner.lower(e, t)
+	}
 	return ev
 }
 
@@ -96,7 +145,7 @@ func (e *Engine) Pending() int {
 // empty. Cancelled events are discarded without running.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.cancel {
 			continue
 		}
