@@ -35,7 +35,8 @@ type ConvResult struct {
 
 // pattern is the deterministic payload byte at offset off of conversation
 // idx — cheap to generate on both sides, position-sensitive so swapped or
-// duplicated-into-stream bytes are caught.
+// duplicated-into-stream bytes are caught. Consecutive bytes differ by 7,
+// so both sides generate the stream incrementally from pattern(idx, 0).
 func pattern(idx, off int) byte { return byte(idx*31 + off*7 + 11) }
 
 // RunConversations drives convs over the topology until every transfer
@@ -61,15 +62,18 @@ func RunConversations(in *Internet, convs []Conversation, deadline sim.Time) ([]
 		if server == nil || client == nil {
 			return nil, fmt.Errorf("vnet: conversation %d: unknown machine %q or %q", i, c.From, c.To)
 		}
-		idx, total := i, c.Bytes
+		total := c.Bytes
+		first := pattern(i, 0)
+		want := first // pattern(i, r.Received)
 		err := server.Stack.TCP().Listen(c.Port, netstack.InKernelDelivery, func(conn *netstack.Conn) {
 			conn.OnData = func(_ *netstack.Conn, b []byte) {
 				for _, by := range b {
-					if by != pattern(idx, r.Received) {
+					if by != want {
 						r.Corrupt = true
 					}
-					r.Received++
+					want += 7
 				}
+				r.Received += len(b)
 				if r.Received >= total && !r.Complete {
 					r.Complete = true
 					done++
@@ -85,17 +89,18 @@ func RunConversations(in *Internet, convs []Conversation, deadline sim.Time) ([]
 		}
 		chunk := c.Chunk
 		conn.OnConnect = func(cn *netstack.Conn) {
-			buf := make([]byte, 0, chunk)
+			buf := make([]byte, chunk)
+			next := first // pattern(i, off)
 			for off := 0; off < total; {
 				n := chunk
 				if off+n > total {
 					n = total - off
 				}
-				buf = buf[:0]
-				for j := 0; j < n; j++ {
-					buf = append(buf, pattern(idx, off+j))
+				for j := range buf[:n] {
+					buf[j] = next
+					next += 7
 				}
-				_ = cn.Send(buf)
+				_ = cn.Send(buf[:n])
 				off += n
 			}
 		}

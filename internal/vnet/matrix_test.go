@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"spin/internal/netstack"
 	"spin/internal/sim"
 )
 
@@ -134,6 +135,48 @@ func TestConversationDeadline(t *testing.T) {
 	}
 	if results[0].Received != 0 {
 		t.Errorf("received %d bytes across a dead link", results[0].Received)
+	}
+}
+
+// TestConversationDetectsCorruption: a link hook flips one payload byte in
+// one mid-stream data segment of one conversation. That conversation must
+// come back Corrupt; the others, sharing the topology, must come back clean.
+func TestConversationDetectsCorruption(t *testing.T) {
+	in, err := Star(4, edge, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victimPort, victimSegment = 4001, 5
+	segments, flipped := 0, false
+	in.Link("h1~s0").AddHook(func(ev *FrameEvent) Verdict {
+		pkt, ok := ev.Frame.Payload.(*netstack.Packet)
+		if !ok || flipped || pkt.Proto != netstack.ProtoTCP || pkt.DstPort != victimPort || len(pkt.Payload) == 0 {
+			return Pass
+		}
+		if segments++; segments == victimSegment {
+			pkt.Payload[len(pkt.Payload)/2] ^= 0x5A
+			flipped = true
+		}
+		return Pass
+	})
+	results, err := RunConversations(in, []Conversation{
+		{From: "h0", To: "h2", Bytes: 64 << 10},
+		{From: "h1", To: "h3", Bytes: 64 << 10},
+		{From: "h2", To: "h0", Bytes: 64 << 10},
+	}, sim.Time(10*sim.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !flipped {
+		t.Fatal("hook never saw the victim segment")
+	}
+	for i, r := range results {
+		if !r.Complete {
+			t.Errorf("conversation %d incomplete (%d bytes)", i, r.Received)
+		}
+		if victim := r.Port == victimPort; r.Corrupt != victim {
+			t.Errorf("conversation %d (port %d): Corrupt = %v, want %v", i, r.Port, r.Corrupt, victim)
+		}
 	}
 }
 
