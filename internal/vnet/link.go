@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"spin/internal/faultinject"
 	"spin/internal/netstack"
@@ -172,14 +173,52 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// hashBytes folds a byte slice into 64 bits (FNV-1a).
+// Odd 64-bit multipliers for hashBytes (the xxHash64 primes).
+const (
+	prime1 = 0x9E3779B185EBCA87
+	prime2 = 0xC2B2AE3D27D4EB4F
+	prime3 = 0x165667B19E3779F9
+	prime4 = 0x85EBCA77C2B2AE63
+	prime5 = 0x27D4EB2F165667C5
+)
+
+// lane folds one little-endian word into an accumulator. For a fixed acc
+// it is a bijection of w, and for a fixed w a bijection of acc.
+func lane(acc, w uint64) uint64 {
+	return bits.RotateLeft64(acc+w*prime2, 31) * prime1
+}
+
+// fold chains value v into the running hash h; a bijection of either
+// argument when the other is fixed.
+func fold(h, v uint64) uint64 {
+	return bits.RotateLeft64(h^v, 27)*prime1 + prime4
+}
+
+// hashBytes folds a byte slice into 64 bits, a word at a time: four
+// independent lanes consume 32-byte stripes, then the lanes, the remaining
+// whole words and the trailing bytes are chained into one value with the
+// length, and mix64 finalizes it. Every step is a bijection of the input it
+// consumes, so two inputs of equal length that differ in one word or byte
+// always hash differently. The constants are fixed, so a digest can be
+// compared across processes.
 func hashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+	n := len(b)
+	v1, v2, v3, v4 := uint64(prime1), uint64(prime2), uint64(prime3), uint64(prime4)
+	for ; len(b) >= 32; b = b[32:] {
+		v1 = lane(v1, binary.LittleEndian.Uint64(b))
+		v2 = lane(v2, binary.LittleEndian.Uint64(b[8:]))
+		v3 = lane(v3, binary.LittleEndian.Uint64(b[16:]))
+		v4 = lane(v4, binary.LittleEndian.Uint64(b[24:]))
 	}
-	return h
+	h := uint64(n) * prime5
+	h = fold(fold(fold(fold(h, v1), v2), v3), v4)
+	for ; len(b) >= 8; b = b[8:] {
+		h = fold(h, lane(0, binary.LittleEndian.Uint64(b)))
+	}
+	for _, c := range b {
+		h = fold(h, uint64(c)*prime5+prime3)
+	}
+	return mix64(h)
 }
 
 // txTime returns the link-side serialization time for n bytes (zero when

@@ -28,7 +28,11 @@
 #   - the compiled bytecode filter allocates at all (it runs per packet;
 #     zero-alloc is the invariant) or slows more than 2x wall-clock, or
 #   - RX with an XDP program attached costs more than 2x bare RX, measured
-#     in the same run (a ratio, so host noise largely cancels).
+#     in the same run (a ratio, so host noise largely cancels), or
+#   - the per-frame replay digest (one 1500-byte frame folded into a link
+#     digest) allocates at all or slows more than 2x wall-clock, or
+#   - one cluster step over 39 engines (pick the earliest engine, run its
+#     event, schedule the next) slows more than 2x wall-clock.
 #
 # The dispatch and conn-setup numbers are the min over BENCH_COUNT runs:
 # both are short loops dominated by scheduler noise, so min-of-N is the
@@ -106,7 +110,15 @@ fo_out=$(go test -run '^$' -bench 'FailoverReconverge$' -benchtime=1x ./internal
 echo "$fo_out"
 failover_reconverge_ns=$(metric "$fo_out" BenchmarkFailoverReconverge "failover-reconverge-ns")
 
-for v in "$dispatch_ns" "$forkjoin" "$pingpong" "$mk1" "$mk4" "$conn_setup_ns" "$rx_allocs" "$vnet_hop_ns" "$dns_resolve_ns" "$dial_established_ns" "$lb_pick_ns" "$lb_pick_allocs" "$failover_reconverge_ns" "$bcode_filter_ns" "$bcode_filter_allocs" "$bcode_interp_ns" "$rx_bare_ns" "$rx_xdp_ns"; do
+echo "== simulator per-frame digest and per-event step (min of $runs runs) =="
+simcost_out=$(go test -run '^$' -bench 'FrameDigest$' -benchtime=200000x -benchmem -count="$runs" ./internal/vnet/
+  go test -run '^$' -bench 'ClusterStep$' -benchtime=200000x -count="$runs" ./internal/sim/)
+echo "$simcost_out"
+frame_digest_ns=$(metric "$simcost_out" BenchmarkFrameDigest "frame-digest-ns" | sort -g | head -1)
+frame_digest_allocs=$(metric "$simcost_out" BenchmarkFrameDigest "allocs/op" | sort -g | head -1)
+cluster_step_ns=$(metric "$simcost_out" BenchmarkClusterStep "cluster-step-ns" | sort -g | head -1)
+
+for v in "$dispatch_ns" "$forkjoin" "$pingpong" "$mk1" "$mk4" "$conn_setup_ns" "$rx_allocs" "$vnet_hop_ns" "$dns_resolve_ns" "$dial_established_ns" "$lb_pick_ns" "$lb_pick_allocs" "$failover_reconverge_ns" "$bcode_filter_ns" "$bcode_filter_allocs" "$bcode_interp_ns" "$rx_bare_ns" "$rx_xdp_ns" "$frame_digest_ns" "$frame_digest_allocs" "$cluster_step_ns"; do
   if [ -z "$v" ]; then
     echo "FAIL: could not parse a benchmark metric" >&2
     exit 1
@@ -133,7 +145,10 @@ cat > "$out" <<JSON
   "bcode_filter_allocs": $bcode_filter_allocs,
   "bcode_interp_ns": $bcode_interp_ns,
   "rx_bare_ns": $rx_bare_ns,
-  "rx_xdp_ns": $rx_xdp_ns
+  "rx_xdp_ns": $rx_xdp_ns,
+  "frame_digest_ns": $frame_digest_ns,
+  "frame_digest_allocs": $frame_digest_allocs,
+  "cluster_step_ns": $cluster_step_ns
 }
 JSON
 echo "wrote $out:"
@@ -263,5 +278,31 @@ awk -v bare="$rx_bare_ns" -v xdp="$rx_xdp_ns" 'BEGIN {
     printf "FAIL: RX with XDP filter costs %.2fx bare RX, want <= 2x\n", xdp / bare; exit 1
   }
   printf "xdp rx overhead: %.2fx bare RX (%s vs %s ns/packet, same run)\n", xdp / bare, xdp, bare
+}'
+# Simulator bookkeeping: the replay digest runs on every delivered frame
+# and the cluster step on every event, so together they bound how much
+# traffic a wall-clock second can simulate. The digest's allocation gate is
+# strict (zero is the invariant); both ns gates carry 2x slack for
+# wall-clock noise, like vnet_hop_ns.
+base_digest=$(awk -F'[:,]' '/"frame_digest_ns"/ {gsub(/[[:space:]]/, "", $2); print $2}' "$baseline")
+base_digest_allocs=$(awk -F'[:,]' '/"frame_digest_allocs"/ {gsub(/[[:space:]]/, "", $2); print $2}' "$baseline")
+base_step=$(awk -F'[:,]' '/"cluster_step_ns"/ {gsub(/[[:space:]]/, "", $2); print $2}' "$baseline")
+if [ -z "$base_digest" ] || [ -z "$base_digest_allocs" ] || [ -z "$base_step" ]; then
+  echo "FAIL: no frame_digest_ns / frame_digest_allocs / cluster_step_ns in $baseline" >&2
+  exit 1
+fi
+awk -v cur="$frame_digest_allocs" -v base="$base_digest_allocs" 'BEGIN {
+  printf "frame digest: %s allocs/frame (baseline %s; any growth fails)\n", cur, base
+  if (cur + 0 > base + 0) { print "FAIL: per-frame replay digest started allocating"; exit 1 }
+}'
+awk -v cur="$frame_digest_ns" -v base="$base_digest" 'BEGIN {
+  limit = base * 2.0
+  printf "frame digest: %s ns/1500-B frame (baseline %s, limit %.2f)\n", cur, base, limit
+  if (cur + 0 > limit) { print "FAIL: per-frame replay digest regressed >2x vs committed baseline"; exit 1 }
+}'
+awk -v cur="$cluster_step_ns" -v base="$base_step" 'BEGIN {
+  limit = base * 2.0
+  printf "cluster step: %s ns/event over 39 engines (baseline %s, limit %.2f)\n", cur, base, limit
+  if (cur + 0 > limit) { print "FAIL: cluster step regressed >2x vs committed baseline"; exit 1 }
 }'
 echo "bench smoke OK"
