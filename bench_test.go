@@ -343,9 +343,10 @@ func benchmarkConnScaling(b *testing.B, n int) {
 
 // BenchmarkMillionConns holds 2^20 concurrent established connections in
 // one stack — the C10M scaling claim. Setup cost must stay O(1) in table
-// size: an insert copies one ~16-entry shard, never the table (compare
-// BenchmarkTCPConnSetup at 1/16 the size; residual growth is GC mark work
-// over the live heap, not table copying).
+// size: an insert copies one shard of ~8 entries on average, never the
+// table, and the table's doublings move each entry about once on average
+// (compare BenchmarkTCPConnSetup at 1/16 the size; residual growth is GC
+// mark work over the live heap, not table copying).
 func BenchmarkMillionConns(b *testing.B) { benchmarkConnScaling(b, 1<<20) }
 
 // BenchmarkTCPConnSetup is the smoke-gated setup-cost probe: small enough

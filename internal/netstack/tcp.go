@@ -77,17 +77,19 @@ const timeWaitDelay = 500 * sim.Millisecond
 // replayable.
 const serverISS = 1000
 
-// Connection-table sharding. The table is split into a fixed power-of-two
-// number of shards by a hash of the 4-tuple key; each shard is an
-// independently swapped copy-on-write snapshot, so connection setup or
-// teardown copies one shard — a few hundred entries at a million
-// connections — never the whole table.
-// 2^16 shards keep a shard to ~16 entries at a million connections, so the
-// COW copy an insert pays stays a few hundred bytes at any scale. The
-// empty table costs ~1.5 MB per stack — the C10M trade.
+// Connection table. Connections are split into a power-of-two number of
+// shards by a hash of the 4-tuple key; each shard is an independently
+// swapped copy-on-write snapshot, so connection setup or teardown copies
+// one shard — a few entries — never the whole table.
+// The table is sized by load alone: it starts at tcpMinShards shards and
+// doubles whenever the average shard would hold more than tcpShardLoad
+// entries, so an idle stack pays ~1 KB for it and a million connections
+// end in 2^17 shards of ~8 entries. It never shrinks. The load trades the
+// copy each insert pays against the size of the shard array
+// (EXPERIMENTS.md, "Idle machine heap", has the measurements).
 const (
-	tcpShards    = 1 << 16
-	tcpShardMask = tcpShards - 1
+	tcpMinShards = 64
+	tcpShardLoad = 8
 )
 
 // Half-open (SYN received, final ACK pending) table bounds. A SYN costs one
@@ -124,20 +126,103 @@ func (k connKey) hash() uint64 {
 	return h
 }
 
+// connTable is one generation of the connection table: a power-of-two
+// array of shards indexed by the low bits of the key hash. A lookup loads
+// the current generation with one atomic load; growth builds the next
+// generation beside it and publishes it with one pointer swap.
+type connTable struct {
+	shards []connShard
+	mask   uint64
+}
+
+func newConnTable(n int) *connTable {
+	return &connTable{shards: make([]connShard, n), mask: uint64(n - 1)}
+}
+
+func (ct *connTable) shardFor(key connKey) *connShard {
+	return &ct.shards[key.hash()&ct.mask]
+}
+
 // connShard is one slice of the connection table: a copy-on-write sorted
 // slice behind an atomic pointer. Lookup is a lock-free load plus binary
 // search (zero allocations); insert/remove copy the slice under the shard
-// mutex and swap. The per-shard counter keeps Conns() exact without
-// touching the snapshots.
+// mutex and swap.
 type connShard struct {
 	mu  sync.Mutex
 	tab atomic.Pointer[[]connEntry]
-	n   atomic.Int64
 }
 
 type connEntry struct {
 	key connKey
 	c   *Conn
+}
+
+// snapshot returns the shard's current entries (nil when empty).
+func (sh *connShard) snapshot() []connEntry {
+	if tp := sh.tab.Load(); tp != nil {
+		return *tp
+	}
+	return nil
+}
+
+// publish swaps in the shard's next snapshot; an empty shard holds nil.
+func (sh *connShard) publish(entries []connEntry) {
+	if len(entries) == 0 {
+		sh.tab.Store(nil)
+		return
+	}
+	p := new([]connEntry)
+	*p = entries
+	sh.tab.Store(p)
+}
+
+// searchConns returns the position of key in the sorted entries, or where
+// it would be inserted, and whether it is present.
+func searchConns(tab []connEntry, key connKey) (int, bool) {
+	lo, hi := 0, len(tab)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tab[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(tab) && tab[lo].key == key
+}
+
+// insert publishes key -> c in the shard, reporting false (and changing
+// nothing) if key is already present.
+func (sh *connShard) insert(key connKey, c *Conn) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	old := sh.snapshot()
+	pos, found := searchConns(old, key)
+	if found {
+		return false
+	}
+	next := make([]connEntry, len(old)+1)
+	copy(next, old[:pos])
+	next[pos] = connEntry{key: key, c: c}
+	copy(next[pos+1:], old[pos:])
+	sh.publish(next)
+	return true
+}
+
+// remove withdraws key from the shard, reporting whether it was present.
+func (sh *connShard) remove(key connKey) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	old := sh.snapshot()
+	pos, found := searchConns(old, key)
+	if !found {
+		return false
+	}
+	next := make([]connEntry, len(old)-1)
+	copy(next, old[:pos])
+	copy(next[pos:], old[pos+1:])
+	sh.publish(next)
+	return true
 }
 
 // synEntry is the compact half-open record for a SYN awaiting its final
@@ -151,7 +236,7 @@ type synEntry struct {
 
 type synShard struct {
 	mu sync.Mutex
-	m  map[connKey]synEntry
+	m  map[connKey]synEntry // made on the shard's first SYN
 }
 
 // Conn is one TCP connection endpoint.
@@ -259,7 +344,7 @@ type Listener struct {
 // TCP engine as a kernel-asserted extension; here the engine is implemented
 // natively, which only strengthens the reproduction.
 //
-// The connection table is sharded (see connShard): the per-segment lookup
+// The connection table is sharded (see connTable): the per-segment lookup
 // is a lock-free snapshot load plus binary search, and setup/teardown
 // writers contend only within one shard. The listener table is a single
 // copy-on-write map (listeners change rarely). Individual Conn state
@@ -274,8 +359,15 @@ type TCP struct {
 	listeners atomic.Pointer[map[uint16]*Listener]
 	nextPort  uint16 // guarded by mu
 
-	shards []connShard
-	syn    []synShard
+	// conns is the current connection-table generation. Inserts and
+	// removes hold growMu shared (plus their shard's mutex); growth holds
+	// it exclusively, so no write is lost while shards are split. nconns
+	// counts the table's entries.
+	conns  atomic.Pointer[connTable]
+	growMu sync.RWMutex
+	nconns atomic.Int64
+
+	syn []synShard
 
 	// maxRetx is the per-connection retransmission cap (DefaultMaxRetx
 	// unless overridden with SetMaxRetx before connections exist).
@@ -291,45 +383,25 @@ func newTCP(s *Stack) *TCP {
 	t := &TCP{
 		stack:    s,
 		nextPort: 30000,
-		shards:   make([]connShard, tcpShards),
 		syn:      make([]synShard, synShards),
 		maxRetx:  DefaultMaxRetx,
 	}
-	for i := range t.syn {
-		t.syn[i].m = make(map[connKey]synEntry)
-	}
+	t.conns.Store(newConnTable(tcpMinShards))
 	emptyListeners := make(map[uint16]*Listener)
 	t.listeners.Store(&emptyListeners)
 	return t
-}
-
-func (t *TCP) connShardFor(key connKey) *connShard {
-	return &t.shards[key.hash()&tcpShardMask]
 }
 
 func (t *TCP) synShardFor(key connKey) *synShard {
 	return &t.syn[(key.hash()>>32)&(synShards-1)]
 }
 
-// lookup finds the connection for key: one atomic snapshot load and a
-// binary search, lock- and allocation-free.
+// lookup finds the connection for key: one atomic load of the table, one
+// of the shard snapshot, and a binary search — lock- and allocation-free.
 func (t *TCP) lookup(key connKey) *Conn {
-	tp := t.connShardFor(key).tab.Load()
-	if tp == nil {
-		return nil
-	}
-	tab := *tp
-	lo, hi := 0, len(tab)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if tab[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(tab) && tab[lo].key == key {
-		return tab[lo].c
+	tab := t.conns.Load().shardFor(key).snapshot()
+	if pos, found := searchConns(tab, key); found {
+		return tab[pos].c
 	}
 	return nil
 }
@@ -337,64 +409,71 @@ func (t *TCP) lookup(key connKey) *Conn {
 // insertConn publishes key -> c in its shard's sorted snapshot. The copy
 // touches one shard only, so setup cost is O(table/shards), not O(table).
 // It reports false — without modifying the table — if key is already
-// present (a concurrent materialization of the same connection won).
+// present (a concurrent materialization of the same connection won). An
+// insert that leaves the table overloaded grows it.
 func (t *TCP) insertConn(key connKey, c *Conn) bool {
-	sh := t.connShardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var old []connEntry
-	if tp := sh.tab.Load(); tp != nil {
-		old = *tp
+	t.growMu.RLock()
+	ct := t.conns.Load()
+	ok := ct.shardFor(key).insert(key, c)
+	var n int64
+	if ok {
+		n = t.nconns.Add(1)
 	}
-	lo, hi := 0, len(old)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if old[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	t.growMu.RUnlock()
+	if n > tcpShardLoad*int64(len(ct.shards)) {
+		t.grow()
 	}
-	pos := lo
-	if pos < len(old) && old[pos].key == key {
-		return false
-	}
-	next := make([]connEntry, len(old)+1)
-	copy(next, old[:pos])
-	next[pos] = connEntry{key: key, c: c}
-	copy(next[pos+1:], old[pos:])
-	sh.tab.Store(&next)
-	sh.n.Add(1)
-	return true
+	return ok
 }
 
 // removeConn withdraws key from its shard's snapshot, reporting whether it
 // was present.
 func (t *TCP) removeConn(key connKey) bool {
-	sh := t.connShardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	tp := sh.tab.Load()
-	if tp == nil {
+	t.growMu.RLock()
+	defer t.growMu.RUnlock()
+	if !t.conns.Load().shardFor(key).remove(key) {
 		return false
 	}
-	old := *tp
-	pos := -1
-	for i := range old {
-		if old[i].key == key {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		return false
-	}
-	next := make([]connEntry, len(old)-1)
-	copy(next, old[:pos])
-	copy(next[pos:], old[pos+1:])
-	sh.tab.Store(&next)
-	sh.n.Add(-1)
+	t.nconns.Add(-1)
 	return true
+}
+
+// grow doubles the connection table if it is still overloaded. Shard i of
+// the old table splits into shards i and i+n of the new one by the next
+// bit of the same hash, each half keeping its sorted order. Writers are
+// excluded for the whole split, so the new table holds exactly the old
+// one's entries when one pointer swap publishes it; lookups never block,
+// and one still holding the old table reads a snapshot that was current
+// at the swap.
+func (t *TCP) grow() {
+	t.growMu.Lock()
+	defer t.growMu.Unlock()
+	old := t.conns.Load()
+	n := len(old.shards)
+	if t.nconns.Load() <= tcpShardLoad*int64(n) {
+		return // another writer grew it first
+	}
+	next := newConnTable(2 * n)
+	for i := range old.shards {
+		// One array per old shard: the entries staying in shard i, then
+		// those moving to shard i+n, each run still sorted.
+		entries := old.shards[i].snapshot()
+		split := make([]connEntry, 0, len(entries))
+		for _, e := range entries {
+			if e.key.hash()&uint64(n) == 0 {
+				split = append(split, e)
+			}
+		}
+		stay := len(split)
+		for _, e := range entries {
+			if e.key.hash()&uint64(n) != 0 {
+				split = append(split, e)
+			}
+		}
+		next.shards[i].publish(split[:stay:stay])
+		next.shards[i+n].publish(split[stay:])
+	}
+	t.conns.Store(next)
 }
 
 // Listen accepts connections on port; accept runs when a connection reaches
@@ -829,6 +908,9 @@ func (t *TCP) onSyn(key connKey, pkt *Packet) {
 	sh.mu.Lock()
 	e, dup := sh.m[key]
 	if !dup {
+		if sh.m == nil {
+			sh.m = make(map[connKey]synEntry)
+		}
 		if len(sh.m) >= maxHalfOpenPerShard {
 			t.evictSynLocked(sh)
 		}
@@ -1052,7 +1134,14 @@ func (c *Conn) onData(pkt *Packet) {
 }
 
 func (c *Conn) onFIN(pkt *Packet) {
-	c.rcvNxt = pkt.Seq + uint32(len(pkt.Payload)) + 1
+	if c.peerClosed || pkt.Seq+uint32(len(pkt.Payload)) != c.rcvNxt {
+		// A FIN that overtook missing data, or a retransmitted one whose
+		// ACK was lost: re-ACK what we hold and change nothing else. The
+		// sender retransmits the hole, then the FIN.
+		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
+		return
+	}
+	c.rcvNxt++
 	c.peerClosed = true
 	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
 	switch c.State() {
@@ -1100,15 +1189,9 @@ func (t *TCP) SetMaxRetx(n int) {
 	t.maxRetx = n
 }
 
-// Conns reports the number of live connections: the sum of the per-shard
-// counters, exact under concurrent setup/teardown.
-func (t *TCP) Conns() int {
-	var n int64
-	for i := range t.shards {
-		n += t.shards[i].n.Load()
-	}
-	return int(n)
-}
+// Conns reports the number of live connections: one table-wide counter,
+// exact under concurrent setup/teardown.
+func (t *TCP) Conns() int { return int(t.nconns.Load()) }
 
 // TCPStats is a point-in-time summary of the TCP module.
 type TCPStats struct {

@@ -92,6 +92,54 @@ func TestTCPNoDuplicateDeliveryUnderLoss(t *testing.T) {
 	}
 }
 
+// TestTCPFINWaitsForMissingData: a FIN that overtakes a lost data segment
+// must not be accepted — doing so used to jump rcvNxt past the hole and
+// silently truncate the stream. A FIN retransmitted because its ACK was
+// lost must be re-ACKed without closing the connection twice.
+func TestTCPFINWaitsForMissingData(t *testing.T) {
+	const total = 16 * 1024
+	for seed := uint64(1); seed <= 40; seed++ {
+		a, b, cl := lossyPair(t, 0.1, seed)
+		var received []byte
+		var server *Conn
+		closes := 0
+		_ = b.stack.TCP().Listen(80, nil, func(c *Conn) {
+			server = c
+			c.OnData = func(_ *Conn, d []byte) { received = append(received, d...) }
+			c.OnClose = func(*Conn) { closes++ }
+		})
+		conn, _ := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
+		payload := make([]byte, total)
+		for i := range payload {
+			payload[i] = byte(i * 13)
+		}
+		conn.OnConnect = func(c *Conn) {
+			_ = c.Send(payload)
+			_ = c.Close()
+		}
+		cl.Run(0)
+		if len(received) != total {
+			t.Errorf("seed %d: received %d of %d bytes before the FIN (drops a=%d b=%d)",
+				seed, len(received), total, a.nic.Dropped(), b.nic.Dropped())
+			continue
+		}
+		for i := range received {
+			if received[i] != byte(i*13) {
+				t.Fatalf("seed %d: corruption at byte %d", seed, i)
+			}
+		}
+		if closes != 1 {
+			t.Errorf("seed %d: server OnClose fired %d times, want 1", seed, closes)
+		}
+		if st := server.State(); st != StateCloseWait {
+			t.Errorf("seed %d: server state %v, want CLOSE_WAIT", seed, st)
+		}
+		if err := conn.Err(); err != nil {
+			t.Errorf("seed %d: client error %v", seed, err)
+		}
+	}
+}
+
 func TestTCPCongestionWindowCollapsesOnLoss(t *testing.T) {
 	// After a retransmission timeout, cwnd returns to 1 and ssthresh
 	// halves (slow start restart).

@@ -13,8 +13,9 @@ type Frame struct {
 	// InUse marks frames handed out by the physical allocator.
 	InUse bool
 	// Color is the frame's cache color (frame number modulo the number
-	// of page-sized cache bins), used by allocation attributes.
-	Color int
+	// of page-sized cache bins), used by allocation attributes. NumColors
+	// fits a byte, which keeps a Frame at 4 bytes.
+	Color uint8
 }
 
 // NumColors is the number of page colors implied by the machine's 512 KB
@@ -32,7 +33,7 @@ func NewPhysMem(size int64) *PhysMem {
 	n := size / PageSize
 	pm := &PhysMem{frames: make([]Frame, n)}
 	for i := range pm.frames {
-		pm.frames[i].Color = i % NumColors
+		pm.frames[i].Color = uint8(i % NumColors)
 	}
 	return pm
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,9 @@ func TestPhysAllocatorColors(t *testing.T) {
 			t.Errorf("frame %d color %d, want 3", f, fr.Color)
 		}
 	}
+	if _, err := sys.PhysSvc.Allocate(sal.PageSize, Attrib{Color: sal.NumColors}); !errors.Is(err, ErrNoMemory) {
+		t.Errorf("color %d (no such color) err = %v, want ErrNoMemory", sal.NumColors, err)
+	}
 }
 
 func TestPhysAllocatorContiguous(t *testing.T) {
@@ -153,6 +157,66 @@ func TestPhysAllocatorContiguous(t *testing.T) {
 			t.Fatalf("frames not contiguous: %v", p.frames)
 		}
 	}
+}
+
+// TestPhysAllocatorContiguousDeterministic: contiguous allocation is a
+// first-fit scan, so two fresh systems driven through the same history
+// hand out identical frames, and each run is the lowest free one.
+func TestPhysAllocatorContiguousDeterministic(t *testing.T) {
+	history := func(sys *System) [][]uint64 {
+		var got [][]uint64
+		alloc := func(pages int, attrib Attrib) *PhysAddr {
+			// Check the lowest free run before the allocation changes it.
+			want := lowestFreeRun(sys.PhysSvc, pages)
+			p, err := sys.PhysSvc.Allocate(int64(pages)*sal.PageSize, attrib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attrib.Contiguous && p.frames[0] != want {
+				t.Errorf("contiguous %d pages start at frame %d, lowest free run starts at %d",
+					pages, p.frames[0], want)
+			}
+			got = append(got, append([]uint64(nil), p.frames...))
+			return p
+		}
+		alloc(4, Attrib{Color: 3}) // holes at every 64th frame from 259
+		alloc(8, Attrib{Color: -1, Contiguous: true})
+		hole := alloc(16, Attrib{Color: -1, Contiguous: true})
+		alloc(70, Attrib{Color: -1, Contiguous: true}) // must skip the color-3 frames
+		if err := sys.PhysSvc.Deallocate(hole); err != nil {
+			t.Fatal(err)
+		}
+		alloc(12, Attrib{Color: -1, Contiguous: true}) // fits the freed hole
+		alloc(3, AnyAttrib)
+		alloc(5, Attrib{Color: -1, Contiguous: true})
+		return got
+	}
+	a, b := history(newVM(t)), history(newVM(t))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two fresh systems handed out different frames:\n%v\n%v", a, b)
+	}
+}
+
+// lowestFreeRun is the reference for first-fit: the lowest frame starting
+// pages consecutive frames that all sit on a free list.
+func lowestFreeRun(svc *PhysAddrService, pages int) uint64 {
+	free := make(map[uint64]bool)
+	for _, list := range svc.free {
+		for _, f := range list {
+			free[uint64(f)] = true
+		}
+	}
+	run := 0
+	for f := uint64(0); f < uint64(svc.total); f++ {
+		if !free[f] {
+			run = 0
+			continue
+		}
+		if run++; run == pages {
+			return f + 1 - uint64(pages)
+		}
+	}
+	return ^uint64(0)
 }
 
 func TestPhysAllocatorExhaustion(t *testing.T) {

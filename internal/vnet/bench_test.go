@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"runtime"
 	"testing"
 
 	"spin/internal/netstack"
@@ -37,4 +38,32 @@ func BenchmarkVnetHop(b *testing.B) {
 	}
 	// Two link hops per datagram (h0->s0, s0->h1).
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2), "vnet-hop-ns")
+}
+
+// BenchmarkIdleMachineHeap measures what an idle machine costs the host:
+// the live heap of a freshly built 64-machine star (no traffic), divided
+// by its machine count. Every stack, its connection table, its physical
+// memory model and its share of the switch are in the figure. Gated by
+// scripts/bench_smoke.sh against BENCH_baseline.json.
+func BenchmarkIdleMachineHeap(b *testing.B) {
+	const machines = 64
+	var kb float64
+	for i := 0; i < b.N; i++ {
+		before := liveHeap()
+		in, err := Star(machines, LinkModel{Latency: 50 * sim.Microsecond}, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kb = float64(liveHeap()-before) / 1024 / machines
+		runtime.KeepAlive(in)
+	}
+	b.ReportMetric(kb, "idle-machine-heap-kb")
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

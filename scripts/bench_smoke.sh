@@ -32,7 +32,10 @@
 #   - the per-frame replay digest (one 1500-byte frame folded into a link
 #     digest) allocates at all or slows more than 2x wall-clock, or
 #   - one cluster step over 39 engines (pick the earliest engine, run its
-#     event, schedule the next) slows more than 2x wall-clock.
+#     event, schedule the next) slows more than 2x wall-clock, or
+#   - an idle machine (live heap of a fresh 64-machine star, per machine)
+#     costs more than 1.25x its baseline. Live heap after a full GC is
+#     deterministic; the slack is for deliberate per-machine additions.
 #
 # The dispatch and conn-setup numbers are the min over BENCH_COUNT runs:
 # both are short loops dominated by scheduler noise, so min-of-N is the
@@ -118,7 +121,12 @@ frame_digest_ns=$(metric "$simcost_out" BenchmarkFrameDigest "frame-digest-ns" |
 frame_digest_allocs=$(metric "$simcost_out" BenchmarkFrameDigest "allocs/op" | sort -g | head -1)
 cluster_step_ns=$(metric "$simcost_out" BenchmarkClusterStep "cluster-step-ns" | sort -g | head -1)
 
-for v in "$dispatch_ns" "$forkjoin" "$pingpong" "$mk1" "$mk4" "$conn_setup_ns" "$rx_allocs" "$vnet_hop_ns" "$dns_resolve_ns" "$dial_established_ns" "$lb_pick_ns" "$lb_pick_allocs" "$failover_reconverge_ns" "$bcode_filter_ns" "$bcode_filter_allocs" "$bcode_interp_ns" "$rx_bare_ns" "$rx_xdp_ns" "$frame_digest_ns" "$frame_digest_allocs" "$cluster_step_ns"; do
+echo "== idle machine heap =="
+idle_out=$(go test -run '^$' -bench 'IdleMachineHeap$' -benchtime=1x ./internal/vnet/)
+echo "$idle_out"
+idle_machine_heap_kb=$(metric "$idle_out" BenchmarkIdleMachineHeap "idle-machine-heap-kb")
+
+for v in "$dispatch_ns" "$forkjoin" "$pingpong" "$mk1" "$mk4" "$conn_setup_ns" "$rx_allocs" "$vnet_hop_ns" "$dns_resolve_ns" "$dial_established_ns" "$lb_pick_ns" "$lb_pick_allocs" "$failover_reconverge_ns" "$bcode_filter_ns" "$bcode_filter_allocs" "$bcode_interp_ns" "$rx_bare_ns" "$rx_xdp_ns" "$frame_digest_ns" "$frame_digest_allocs" "$cluster_step_ns" "$idle_machine_heap_kb"; do
   if [ -z "$v" ]; then
     echo "FAIL: could not parse a benchmark metric" >&2
     exit 1
@@ -148,7 +156,8 @@ cat > "$out" <<JSON
   "rx_xdp_ns": $rx_xdp_ns,
   "frame_digest_ns": $frame_digest_ns,
   "frame_digest_allocs": $frame_digest_allocs,
-  "cluster_step_ns": $cluster_step_ns
+  "cluster_step_ns": $cluster_step_ns,
+  "idle_machine_heap_kb": $idle_machine_heap_kb
 }
 JSON
 echo "wrote $out:"
@@ -304,5 +313,15 @@ awk -v cur="$cluster_step_ns" -v base="$base_step" 'BEGIN {
   limit = base * 2.0
   printf "cluster step: %s ns/event over 39 engines (baseline %s, limit %.2f)\n", cur, base, limit
   if (cur + 0 > limit) { print "FAIL: cluster step regressed >2x vs committed baseline"; exit 1 }
+}'
+base_idle=$(awk -F'[:,]' '/"idle_machine_heap_kb"/ {gsub(/[[:space:]]/, "", $2); print $2}' "$baseline")
+if [ -z "$base_idle" ]; then
+  echo "FAIL: no idle_machine_heap_kb in $baseline" >&2
+  exit 1
+fi
+awk -v cur="$idle_machine_heap_kb" -v base="$base_idle" 'BEGIN {
+  limit = base * 1.25
+  printf "idle machine heap: %s KB/machine (baseline %s, limit %.2f)\n", cur, base, limit
+  if (cur + 0 > limit) { print "FAIL: idle machine heap grew >25% vs committed baseline"; exit 1 }
 }'
 echo "bench smoke OK"
