@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -122,13 +123,14 @@ func HTTPGet(stack *Stack, server IPAddr, port uint16, path string, cost Deliver
 		if done == nil {
 			return
 		}
-		headers, body, found := strings.Cut(string(resp), "\r\n\r\n")
-		status, _, _ := strings.Cut(headers, "\r\n")
+		// body is a subslice of resp, which nothing else holds: no copy.
+		headers, body, found := bytes.Cut(resp, []byte("\r\n\r\n"))
+		status, _, _ := bytes.Cut(headers, []byte("\r\n"))
 		if !found {
-			done(status, nil)
+			done(string(status), nil)
 			return
 		}
-		done(status, []byte(body))
+		done(string(status), body)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -26,20 +27,31 @@ func (s *Stack) Graph() string {
 			fmt.Fprintf(&b, "      -> [%s]\n", o)
 		}
 	}
-	// Port tables are handlers too (snapshot loads; safe during traffic).
+	// Port tables are handlers too (snapshot loads; safe during traffic),
+	// listed in port order so the rendering is stable.
 	if ports := *s.udp.ports.Load(); len(ports) > 0 {
 		fmt.Fprintf(&b, "  UDP ports:")
-		for p := range ports {
+		for _, p := range sortedPorts(ports) {
 			fmt.Fprintf(&b, " %d", p)
 		}
 		fmt.Fprintln(&b)
 	}
 	if listeners := *s.tcp.listeners.Load(); len(listeners) > 0 {
 		fmt.Fprintf(&b, "  TCP listeners:")
-		for p := range listeners {
+		for _, p := range sortedPorts(listeners) {
 			fmt.Fprintf(&b, " %d", p)
 		}
 		fmt.Fprintln(&b)
 	}
 	return b.String()
+}
+
+// sortedPorts returns the keys of a port table in ascending order.
+func sortedPorts[V any](m map[uint16]V) []uint16 {
+	ports := make([]uint16, 0, len(m))
+	for p := range m {
+		ports = append(ports, p)
+	}
+	slices.Sort(ports)
+	return ports
 }

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -357,6 +358,41 @@ func TestHTTPServerAndClient(t *testing.T) {
 	}
 }
 
+// TestHTTPGetBodyBytes: done receives exactly the bytes after the first
+// blank line — a body that itself holds a blank line, one spanning several
+// segments, and an empty but non-nil body.
+func TestHTTPGetBodyBytes(t *testing.T) {
+	big := make([]byte, 5000)
+	for i := range big {
+		big[i] = byte(i * 13)
+	}
+	content := ContentMap{
+		"/crlf":  []byte("a\r\n\r\nb"),
+		"/big":   big,
+		"/empty": {},
+	}
+	for path, want := range content {
+		a, b, cl := pair(t, sal.LanceModel)
+		if _, err := NewHTTPServer(b.stack, 80, nil, content); err != nil {
+			t.Fatal(err)
+		}
+		var body []byte
+		called := false
+		if err := HTTPGet(a.stack, Addr(10, 0, 0, 2), 80, path, nil, func(_ string, b []byte) {
+			body, called = b, true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		cl.Run(sim.Time(5 * sim.Second))
+		if !called {
+			t.Fatalf("%s: done never called", path)
+		}
+		if body == nil || !bytes.Equal(body, want) {
+			t.Errorf("%s: body = %q (nil %v), want %q", path, body, body == nil, want)
+		}
+	}
+}
+
 func TestHTTP404(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	srv, _ := NewHTTPServer(b.stack, 80, nil, ContentMap{})
@@ -485,6 +521,31 @@ func TestGraphRendering(t *testing.T) {
 	for _, want := range []string{"IP.PacketArrived", "UDP ports: 7", "TCP listeners: 80", "proto:1:ping"} {
 		if !strings.Contains(g, want) {
 			t.Errorf("graph missing %q:\n%s", want, g)
+		}
+	}
+}
+
+// TestGraphDeterministic: the port tables are maps, but Graph lists their
+// ports in order, so repeated renderings are identical.
+func TestGraphDeterministic(t *testing.T) {
+	a, _, _ := pair(t, sal.LanceModel)
+	for _, p := range []uint16{7001, 6000, 53, 9, 4000} {
+		if err := a.stack.UDP().Bind(p, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.stack.TCP().Listen(p+1, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := a.stack.Graph()
+	for _, want := range []string{"UDP ports: 9 53 4000 6000 7001\n", "TCP listeners: 10 54 4001 6001 7002\n"} {
+		if !strings.Contains(first, want) {
+			t.Errorf("graph missing %q:\n%s", want, first)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if g := a.stack.Graph(); g != first {
+			t.Fatalf("rendering %d differs:\n%s\nfirst:\n%s", i, g, first)
 		}
 	}
 }

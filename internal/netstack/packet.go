@@ -198,13 +198,18 @@ func (p *Packet) SetPayload(b []byte) {
 // AllocPayload sets the payload to n zero bytes, reusing the packet's
 // buffer when it is large enough, and returns the slice.
 func (p *Packet) AllocPayload(n int) []byte {
+	b := p.resizePayload(n)
+	clear(b)
+	return b
+}
+
+// resizePayload sets the payload length to n, reusing the packet's buffer
+// when it is large enough, and returns it for the caller to fill.
+func (p *Packet) resizePayload(n int) []byte {
 	if cap(p.Payload) < n {
 		p.Payload = make([]byte, n)
 	} else {
 		p.Payload = p.Payload[:n]
-		for i := range p.Payload {
-			p.Payload[i] = 0
-		}
 	}
 	return p.Payload
 }

@@ -63,6 +63,7 @@ const (
 // scheduled step per packet (the deterministic simulation path) or a
 // dedicated worker goroutine draining batches (the parallel path).
 type rxQueue struct {
+	stack     *Stack
 	nic       *sal.NIC
 	linkEvent string
 	ch        chan *Packet
@@ -264,7 +265,7 @@ func (s *Stack) Attach(nic *sal.NIC) {
 		linkEvent = EvATMArrived
 	}
 	q := &rxQueue{
-		nic: nic, linkEvent: linkEvent,
+		stack: s, nic: nic, linkEvent: linkEvent,
 		ch:    make(chan *Packet, DefaultRXQueueDepth),
 		batch: make([]*Packet, 0, rxBatch),
 	}
@@ -301,7 +302,7 @@ func (s *Stack) enqueueRX(q *rxQueue, pkt *Packet) bool {
 		if !s.workersOn.Load() {
 			// Protocol processing runs in a separately scheduled kernel
 			// thread outside the interrupt handler (paper §5.3).
-			s.engine.After(0, func() { s.drainRX(q, 1) })
+			s.engine.Post(s.engine.Now(), q, 1, nil)
 		}
 		return true
 	default:
@@ -312,6 +313,10 @@ func (s *Stack) enqueueRX(q *rxQueue, pkt *Packet) bool {
 		return false
 	}
 }
+
+// Handle is the drain step enqueueRX posts (the queue is a sim.Handler):
+// it drains up to n packets.
+func (q *rxQueue) Handle(n int, _ any) { q.stack.drainRX(q, n) }
 
 // drainRX dequeues up to max packets in batches of rxBatch and pushes each
 // up the graph, charging the protocol-thread context switch per packet. The

@@ -259,11 +259,10 @@ type Conn struct {
 
 	// Send side.
 	sndUna, sndNxt uint32
-	sendBuf        []byte // not yet segmented
-	inflight       []segment
-	cwnd           int // congestion window, segments
-	ssthresh       int // slow-start threshold, segments
-	sndWnd         int // peer's advertised window, bytes
+	snd            *sendState // queued bytes and in-flight segments
+	cwnd           int        // congestion window, segments
+	ssthresh       int        // slow-start threshold, segments
+	sndWnd         int        // peer's advertised window, bytes
 	retxEv         *sim.Event
 	// retxAttempts counts consecutive unacknowledged retransmissions of
 	// the oldest outstanding data (or SYN); any forward ACK progress
@@ -290,12 +289,6 @@ type Conn struct {
 
 	peerClosed bool
 	closed     bool
-}
-
-type segment struct {
-	seq  uint32
-	data []byte
-	fin  bool
 }
 
 // State reports the connection state. Safe to call from any goroutine.
@@ -597,20 +590,21 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 	t.insertConn(key, c)
 	t.mu.Unlock()
 	if dialFault.Kind != faultinject.KindDrop {
-		c.sendSeg(c.seg(FlagSYN, c.sndNxt, 0, nil))
+		c.sendSeg(c.seg(FlagSYN, c.sndNxt, 0))
 	}
 	c.sndNxt++
 	c.armRetx()
 	return c, nil
 }
 
-// Send queues payload for transmission.
+// Send queues payload for transmission. The bytes are copied once, into
+// the connection's send queue; the caller keeps payload.
 func (c *Conn) Send(payload []byte) error {
 	st := c.State()
 	if c.closed || st != StateEstablished && st != StateCloseWait {
 		if !c.closed && st == StateSynSent {
 			// Queue until established.
-			c.sendBuf = append(c.sendBuf, payload...)
+			c.sendq().q.write(payload)
 			return nil
 		}
 		if c.closed || st == StateClosed {
@@ -618,9 +612,17 @@ func (c *Conn) Send(payload []byte) error {
 		}
 		return errors.New("netstack: send on non-established connection")
 	}
-	c.sendBuf = append(c.sendBuf, payload...)
+	c.sendq().q.write(payload)
 	c.pump()
 	return nil
+}
+
+// sendq returns the connection's send state, making it on first use.
+func (c *Conn) sendq() *sendState {
+	if c.snd == nil {
+		c.snd = new(sendState)
+	}
+	return c.snd
 }
 
 // Close begins an orderly shutdown. A close before the handshake completed
@@ -639,10 +641,10 @@ func (c *Conn) Close() error {
 		c.setState(StateLastAck)
 	default:
 		var err error
-		if c.State() == StateSynSent && len(c.sendBuf) > 0 {
+		if n := c.snd.unsent(); c.State() == StateSynSent && n > 0 {
 			err = fmt.Errorf("%w: %d queued bytes discarded before handshake completed",
-				ErrClosed, len(c.sendBuf))
-			c.sendBuf = nil
+				ErrClosed, n)
+			c.snd = nil
 			c.setErr(err)
 		}
 		c.teardown() // cancels any armed retransmit timer
@@ -656,15 +658,16 @@ func (c *Conn) queueFIN() {
 	// FIN rides after any queued data; represent as zero-data fin
 	// segment appended once the buffer drains.
 	c.pump()
-	if len(c.sendBuf) == 0 {
+	if c.snd.unsent() == 0 {
 		c.sendFIN()
 	}
 	// Otherwise pump() sends it once data drains (checked in onAck).
 }
 
 func (c *Conn) sendFIN() {
-	c.sendSeg(c.seg(FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, nil))
-	c.inflight = append(c.inflight, segment{seq: c.sndNxt, fin: true})
+	c.sendSeg(c.seg(FlagFIN|FlagACK, c.sndNxt, c.rcvNxt))
+	s := c.sendq()
+	s.inflight = append(s.inflight, segment{seq: c.sndNxt, fin: true})
 	c.sndNxt++
 	c.armRetx()
 }
@@ -677,7 +680,7 @@ func (c *Conn) pump() {
 		st != StateFinWait1 && st != StateLastAck {
 		return
 	}
-	for len(c.sendBuf) > 0 {
+	for c.snd.unsent() > 0 {
 		if c.sndWnd == 0 {
 			// Peer advertised a zero window: pause, and let the
 			// retransmission timer send persist probes (the peer owes us
@@ -693,44 +696,41 @@ func (c *Conn) pump() {
 		if inFlightBytes >= windowBytes {
 			return // window full; ACKs will re-pump
 		}
-		n := c.mss
-		if n > len(c.sendBuf) {
-			n = len(c.sendBuf)
-		}
-		if n > windowBytes-inFlightBytes {
-			n = windowBytes - inFlightBytes
-		}
+		n := min(c.mss, c.snd.unsent(), windowBytes-inFlightBytes)
 		if n <= 0 {
 			return
 		}
-		data := append([]byte(nil), c.sendBuf[:n]...)
-		c.sendBuf = c.sendBuf[n:]
-		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, data))
-		c.inflight = append(c.inflight, segment{seq: c.sndNxt, data: data})
-		c.sndNxt += uint32(n)
-		c.armRetx()
+		c.sendNew(n)
 	}
-	if st := c.State(); (st == StateFinWait1 || st == StateLastAck) && len(c.sendBuf) == 0 && !c.finInflight() {
+	if st := c.State(); (st == StateFinWait1 || st == StateLastAck) && c.snd.unsent() == 0 && !c.snd.finInflight() {
 		c.sendFIN()
 	}
 }
 
-func (c *Conn) finInflight() bool {
-	for _, s := range c.inflight {
-		if s.fin {
-			return true
-		}
-	}
-	return false
+// sendNew transmits the next n unsent bytes as one new segment at sndNxt.
+func (c *Conn) sendNew(n int) {
+	s := c.snd
+	c.sendSeg(c.dataSeg(FlagACK, c.sndNxt, s.sent, n))
+	s.inflight = append(s.inflight, segment{seq: c.sndNxt, n: uint32(n)})
+	s.sent += n
+	c.sndNxt += uint32(n)
+	c.armRetx()
 }
 
-// seg allocates a pooled segment carrying this connection's receive window;
-// payload (if any) is copied into the packet's own buffer.
-func (c *Conn) seg(flags TCPFlags, seq, ack uint32, payload []byte) *Packet {
+// seg allocates a pooled segment, without payload, carrying this
+// connection's receive window.
+func (c *Conn) seg(flags TCPFlags, seq, ack uint32) *Packet {
 	p := AllocPacket()
 	p.Flags, p.Seq, p.Ack, p.Window = flags, seq, ack, rcvWindow
-	if len(payload) > 0 {
-		p.SetPayload(payload)
+	return p
+}
+
+// dataSeg allocates a pooled segment at seq whose payload is the n send
+// queue bytes from offset off, copied straight into the packet's buffer.
+func (c *Conn) dataSeg(flags TCPFlags, seq uint32, off, n int) *Packet {
+	p := c.seg(flags, seq, c.rcvNxt)
+	if n > 0 {
+		c.snd.q.read(p.resizePayload(n), off)
 	}
 	return p
 }
@@ -806,34 +806,30 @@ func (c *Conn) onRetxTimeout() {
 		}
 		c.retxAttempts++
 		c.lossBackoff()
-		c.sendSeg(c.seg(FlagSYN, c.sndUna, 0, nil))
+		c.sendSeg(c.seg(FlagSYN, c.sndUna, 0))
 		c.armRetx()
-	case len(c.inflight) > 0:
+	case c.snd.outstanding() > 0:
 		if c.retxExhausted() {
 			return
 		}
 		c.retxAttempts++
 		c.lossBackoff()
-		s := c.inflight[0]
+		// The oldest segment's bytes start the send queue.
+		s := c.snd.inflight[0]
 		flags := FlagACK
 		if s.fin {
 			flags |= FlagFIN
 		}
-		c.sendSeg(c.seg(flags, s.seq, c.rcvNxt, s.data))
+		c.sendSeg(c.dataSeg(flags, s.seq, 0, int(s.n)))
 		c.armRetx()
-	case c.sndWnd == 0 && len(c.sendBuf) > 0 && c.State() != StateClosed:
+	case c.sndWnd == 0 && c.snd.unsent() > 0 && c.State() != StateClosed:
 		// Zero-window persist (RFC 1122 §4.2.2.17): the peer advertised
 		// window 0 and will send nothing further on its own; probe with a
 		// single byte to elicit an ACK carrying the reopened window.
 		// Probes are deliberately uncapped — the peer is alive and ACKing,
 		// just full — so they never trip the MaxRetx teardown.
 		c.zeroWndProbes.Add(1)
-		data := append([]byte(nil), c.sendBuf[:1]...)
-		c.sendBuf = c.sendBuf[1:]
-		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, data))
-		c.inflight = append(c.inflight, segment{seq: c.sndNxt, data: data})
-		c.sndNxt++
-		c.armRetx()
+		c.sendNew(1)
 	}
 }
 
@@ -1053,7 +1049,7 @@ func (c *Conn) handle(pkt *Packet) {
 			c.setState(StateEstablished)
 			c.retxAttempts = 0
 			c.cancelRetx()
-			c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
+			c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt))
 			if c.OnConnect != nil {
 				c.OnConnect(c)
 			}
@@ -1081,31 +1077,18 @@ func (c *Conn) onAck(ack uint32) {
 	// Forward progress: the peer is alive, so the retransmission backoff
 	// and cap restart from scratch for whatever is still outstanding.
 	c.retxAttempts = 0
-	// Drop fully acknowledged segments.
-	keep := c.inflight[:0]
-	finAcked := false
-	for _, s := range c.inflight {
-		end := s.seq + uint32(len(s.data))
-		if s.fin {
-			end = s.seq + 1
+	// Drop fully acknowledged segments and free their bytes.
+	acked, finAcked := c.snd.ack(ack)
+	for ; acked > 0; acked-- {
+		// Congestion window growth per ACKed segment: slow start below
+		// ssthresh, then linear.
+		if c.cwnd < c.ssthresh {
+			c.cwnd++
+		} else if c.cwnd < 128 {
+			c.cwnd++ // coarse linear growth per window-full
 		}
-		if int32(end-ack) <= 0 {
-			if s.fin {
-				finAcked = true
-			}
-			// Congestion window growth per ACKed segment: slow
-			// start below ssthresh, then linear.
-			if c.cwnd < c.ssthresh {
-				c.cwnd++
-			} else if c.cwnd < 128 {
-				c.cwnd++ // coarse linear growth per window-full
-			}
-			continue
-		}
-		keep = append(keep, s)
 	}
-	c.inflight = keep
-	if len(c.inflight) == 0 {
+	if c.snd.outstanding() == 0 {
 		c.cancelRetx()
 	}
 	if finAcked {
@@ -1123,14 +1106,14 @@ func (c *Conn) onAck(ack uint32) {
 func (c *Conn) onData(pkt *Packet) {
 	if pkt.Seq != c.rcvNxt {
 		// Out of order: re-ACK what we have; sender retransmits.
-		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
+		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt))
 		return
 	}
 	c.rcvNxt += uint32(len(pkt.Payload))
 	if c.OnData != nil {
 		c.OnData(c, pkt.Payload)
 	}
-	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
+	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt))
 }
 
 func (c *Conn) onFIN(pkt *Packet) {
@@ -1138,12 +1121,12 @@ func (c *Conn) onFIN(pkt *Packet) {
 		// A FIN that overtook missing data, or a retransmitted one whose
 		// ACK was lost: re-ACK what we hold and change nothing else. The
 		// sender retransmits the hole, then the FIN.
-		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
+		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt))
 		return
 	}
 	c.rcvNxt++
 	c.peerClosed = true
-	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt, nil))
+	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt))
 	switch c.State() {
 	case StateEstablished:
 		c.setState(StateCloseWait)

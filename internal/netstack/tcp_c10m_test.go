@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"spin/internal/dispatch"
 	"spin/internal/domain"
@@ -78,6 +79,16 @@ func TestTCPResetForms(t *testing.T) {
 				t.Errorf("Resets = %d, want 1", st.Resets)
 			}
 		})
+	}
+}
+
+// TestConnSize: the per-connection struct bounds the C10M footprint. The
+// send side lives behind a pointer made on the first Send or Close, so an
+// idle connection does not pay for it.
+func TestConnSize(t *testing.T) {
+	const limit = 208
+	if n := unsafe.Sizeof(Conn{}); n > limit {
+		t.Errorf("Conn is %d bytes, want at most %d", n, limit)
 	}
 }
 

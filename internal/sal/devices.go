@@ -172,13 +172,23 @@ func (ic *InterruptController) Register(vec InterruptVector, h func(payload any)
 
 // RaiseAt schedules an interrupt for absolute time t.
 func (ic *InterruptController) RaiseAt(t sim.Time, vec InterruptVector, payload any) {
-	ic.engine.At(t, func() {
-		ic.count[vec]++
-		ic.engine.Clock.Advance(ic.profile.InterruptEntry)
-		if h, ok := ic.handlers[vec]; ok {
-			h(payload)
-		}
-	})
+	ic.engine.Post(t, ic, int(vec), payload)
+}
+
+// Handle delivers an interrupt raised by RaiseAt (the controller is the
+// sim.Handler of its posted events): n is the vector, arg the payload.
+func (ic *InterruptController) Handle(n int, arg any) {
+	vec := InterruptVector(n)
+	ic.enter(vec)
+	if h, ok := ic.handlers[vec]; ok {
+		h(arg)
+	}
+}
+
+// enter counts one interrupt on vec and charges the interrupt-entry cost.
+func (ic *InterruptController) enter(vec InterruptVector) {
+	ic.count[vec]++
+	ic.engine.Clock.Advance(ic.profile.InterruptEntry)
 }
 
 // Raise schedules an interrupt for the current time.

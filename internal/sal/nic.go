@@ -211,17 +211,20 @@ func NewNIC(model NICModel, engine *sim.Engine, ic *InterruptController, vector 
 		ic:     ic,
 		vector: vector,
 	}
-	ic.Register(vector, func(payload any) {
-		f := payload.(NetFrame)
-		n.clock.Advance(n.Model.DriverRecvCost)
-		n.clock.Advance(n.Model.hostMoveCost(f.Size))
-		n.received.Add(1)
-		n.bytesReceived.Add(int64(f.Size))
-		if n.OnReceive != nil && !n.OnReceive(f) {
-			n.rxDropped.Add(1)
-		}
-	})
+	ic.Register(vector, func(payload any) { n.receive(payload.(NetFrame)) })
 	return n
+}
+
+// receive is the driver's receive path, in interrupt context: charge the
+// driver and data-movement costs, count, and hand f to OnReceive.
+func (n *NIC) receive(f NetFrame) {
+	n.clock.Advance(n.Model.DriverRecvCost)
+	n.clock.Advance(n.Model.hostMoveCost(f.Size))
+	n.received.Add(1)
+	n.bytesReceived.Add(int64(f.Size))
+	if n.OnReceive != nil && !n.OnReceive(f) {
+		n.rxDropped.Add(1)
+	}
 }
 
 // AttachWire installs w as the NIC's outbound transport, replacing any
@@ -233,9 +236,20 @@ func (n *NIC) AttachWire(w Wire) { n.wire = w }
 func (n *NIC) Wire() Wire { return n.wire }
 
 // DeliverAt schedules f's receive interrupt on this NIC at absolute virtual
-// time t — the receive-side entry point wires and switch nodes use.
+// time t — the receive-side entry point wires and switch nodes use. The
+// NIC itself is the posted event's handler, so the frame travels as its
+// two fields and the hop allocates nothing.
 func (n *NIC) DeliverAt(t sim.Time, f NetFrame) {
-	n.ic.RaiseAt(t, n.vector, f)
+	n.engine.Post(t, n, f.Size, f.Payload)
+}
+
+// Handle takes the receive interrupt DeliverAt posted (the NIC is a
+// sim.Handler): it enters the interrupt exactly as a raised one does —
+// counted on the NIC's vector, interrupt-entry cost charged — and runs
+// the driver receive path on the frame of the given size and payload.
+func (n *NIC) Handle(size int, payload any) {
+	n.ic.enter(n.vector)
+	n.receive(NetFrame{Size: size, Payload: payload})
 }
 
 // ptpWire is the point-to-point wire Connect installs: fixed hardware

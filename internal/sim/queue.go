@@ -1,12 +1,19 @@
 package sim
 
-// Event is a scheduled simulation callback.
+// Event is a scheduled simulation callback: either a closure (At/After,
+// cancellable through the returned *Event) or a call to a long-lived
+// Handler (Post, not cancellable, and recycled by the engine once run).
 type Event struct {
 	At     Time
 	Do     func()
 	seq    int64 // tie-break: FIFO among same-time events
 	index  int   // heap index; -1 once popped or cancelled
 	cancel bool
+
+	// Posted events carry their target and arguments instead of Do.
+	h   Handler
+	n   int
+	arg any
 }
 
 // Cancel marks the event so it will be skipped when its time arrives.
@@ -14,6 +21,14 @@ func (e *Event) Cancel() { e.cancel = true }
 
 // Cancelled reports whether Cancel was called.
 func (e *Event) Cancelled() bool { return e.cancel }
+
+// Handler is the target of a posted event: a long-lived object (a NIC, a
+// switch port, a receive queue) whose Handle runs when the event's time
+// arrives, with the two arguments given to Post. A posted event needs no
+// closure and no fresh Event, so a frame hop schedules without allocating.
+type Handler interface {
+	Handle(n int, arg any)
+}
 
 type eventHeap []*Event
 
@@ -90,6 +105,10 @@ type Engine struct {
 	Clock *Clock
 	queue eventHeap
 	seq   int64
+	// free heads the list of run posted events that Post reuses, chained
+	// through their arg field; no handle to them escapes, so nothing can
+	// observe the reuse.
+	free *Event
 
 	// Cluster bookkeeping (see Cluster): the cluster driving this engine,
 	// the engine's slot in that cluster's heap (-1 when absent), its
@@ -112,16 +131,39 @@ func (e *Engine) Now() Time { return e.Clock.Now() }
 // runs at the current time (next Step). An event below the engine's cluster
 // key moves the engine up in its cluster's heap.
 func (e *Engine) At(t Time, fn func()) *Event {
+	ev := &Event{Do: fn}
+	e.schedule(ev, t)
+	return ev
+}
+
+// Post schedules h.Handle(n, arg) at absolute virtual time t, in the same
+// (time, sequence) order as At and with the same clamping of past times.
+// Posted events cannot be cancelled — no handle is returned — so the
+// engine recycles them: a steady stream of posts to long-lived handlers
+// allocates nothing. Cancellable timers use At or After.
+func (e *Engine) Post(t Time, h Handler, n int, arg any) {
+	ev := e.free
+	if ev != nil {
+		e.free, _ = ev.arg.(*Event)
+	} else {
+		ev = new(Event)
+	}
+	ev.h, ev.n, ev.arg = h, n, arg
+	e.schedule(ev, t)
+}
+
+// schedule queues ev at t (clamped to now) behind every event already
+// queued for the same time, and reports the new head to the cluster.
+func (e *Engine) schedule(ev *Event, t Time) {
 	if t < e.Clock.Now() {
 		t = e.Clock.Now()
 	}
-	ev := &Event{At: t, Do: fn, seq: e.seq}
+	ev.At, ev.seq = t, e.seq
 	e.seq++
 	e.queue.push(ev)
 	if e.owner != nil && (e.slot < 0 || t < e.key) {
 		e.owner.lower(e, t)
 	}
-	return ev
 }
 
 // After schedules fn to run d after the current time.
@@ -142,7 +184,9 @@ func (e *Engine) Pending() int {
 
 // Step pops and runs the earliest event, advancing the clock to its time as
 // idle time (the CPU was waiting for it). It returns false when the queue is
-// empty. Cancelled events are discarded without running.
+// empty. Cancelled events are discarded without running. A posted event
+// goes back to the free list before its handler runs, so a handler that
+// posts again reuses it.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
 		ev := e.queue.pop()
@@ -150,6 +194,12 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.Clock.AdvanceTo(ev.At)
+		if h := ev.h; h != nil {
+			n, arg := ev.n, ev.arg
+			ev.h, ev.arg, e.free = nil, e.free, ev
+			h.Handle(n, arg)
+			return true
+		}
 		ev.Do()
 		return true
 	}

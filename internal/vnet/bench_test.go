@@ -12,8 +12,9 @@ import (
 // traversal in a switched topology: UDP datagrams from h0 to h1 through
 // s0, two hops each. The vnet-hop-ns metric is the simulator's per-hop
 // overhead — what bounds how large a topology and how much traffic a
-// wall-clock second of testing can cover. Gated by scripts/bench_smoke.sh
-// against BENCH_baseline.json.
+// wall-clock second of testing can cover. Frames travel as posted events to
+// the switch port and NIC, so a hop allocates nothing. Both vnet-hop-ns and
+// allocs/op are gated by scripts/bench_smoke.sh against BENCH_baseline.json.
 func BenchmarkVnetHop(b *testing.B) {
 	in, err := Star(2, LinkModel{Latency: 50 * sim.Microsecond}, 1)
 	if err != nil {

@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"spin/internal/netstack"
@@ -39,6 +40,51 @@ type ConvResult struct {
 // so both sides generate the stream incrementally from pattern(idx, 0).
 func pattern(idx, off int) byte { return byte(idx*31 + off*7 + 11) }
 
+// patternWords[v] is the next eight pattern bytes, as a little-endian word,
+// when the next byte is v; the byte after them is v+56.
+var patternWords = func() (t [256]uint64) {
+	for v := range t {
+		for k := 7; k >= 0; k-- {
+			t[v] = t[v]<<8 | uint64(byte(v+7*k))
+		}
+	}
+	return t
+}()
+
+// fillPattern writes the pattern into b, starting with byte next, a word
+// at a time, and returns the byte that follows b.
+func fillPattern(b []byte, next byte) byte {
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, patternWords[next])
+		next += 56
+	}
+	for i := range b {
+		b[i] = next
+		next += 7
+	}
+	return next
+}
+
+// checkPattern compares every byte of b with the pattern starting at byte
+// want, a word at a time, and returns the byte expected after b and
+// whether all of b matched.
+func checkPattern(b []byte, want byte) (byte, bool) {
+	ok := true
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != patternWords[want] {
+			ok = false
+		}
+		want += 56
+	}
+	for _, c := range b {
+		if c != want {
+			ok = false
+		}
+		want += 7
+	}
+	return want, ok
+}
+
 // RunConversations drives convs over the topology until every transfer
 // completes or the earliest pending event passes deadline (0 = drain).
 // Conversations with Port 0 get distinct ports from 4000 up. The returned
@@ -67,11 +113,9 @@ func RunConversations(in *Internet, convs []Conversation, deadline sim.Time) ([]
 		want := first // pattern(i, r.Received)
 		err := server.Stack.TCP().Listen(c.Port, netstack.InKernelDelivery, func(conn *netstack.Conn) {
 			conn.OnData = func(_ *netstack.Conn, b []byte) {
-				for _, by := range b {
-					if by != want {
-						r.Corrupt = true
-					}
-					want += 7
+				var ok bool
+				if want, ok = checkPattern(b, want); !ok {
+					r.Corrupt = true
 				}
 				r.Received += len(b)
 				if r.Received >= total && !r.Complete {
@@ -96,10 +140,7 @@ func RunConversations(in *Internet, convs []Conversation, deadline sim.Time) ([]
 				if off+n > total {
 					n = total - off
 				}
-				for j := range buf[:n] {
-					buf[j] = next
-					next += 7
-				}
+				next = fillPattern(buf[:n], next)
 				_ = cn.Send(buf[:n])
 				off += n
 			}

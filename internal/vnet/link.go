@@ -61,7 +61,8 @@ type FrameEvent struct {
 
 // Hook inspects, alters, delays or drops frames on a link direction. Hooks
 // run in frame-transmit order on the sending machine's goroutine; they must
-// not block.
+// not block. The FrameEvent is only valid during the call: the link reuses
+// it for its next frame.
 type Hook func(ev *FrameEvent) Verdict
 
 // LinkStats counts one direction's traffic.
@@ -102,6 +103,12 @@ type half struct {
 	scratch []byte
 }
 
+// hookScratch holds the one frame a direction's hooks are looking at.
+type hookScratch struct {
+	ev    FrameEvent
+	frame sal.NetFrame
+}
+
 // Link is a full-duplex modeled link between two nodes of an Internet. Both
 // directions share the model but have independent PRNGs, counters and
 // digests.
@@ -113,6 +120,10 @@ type Link struct {
 
 	down  bool
 	hooks []Hook
+	// hooked is the scratch each direction hands its hooks (a->b, b->a),
+	// made by the first AddHook, so only hooked links carry it and frames
+	// on hook-free links never escape.
+	hooked *[2]hookScratch
 
 	// inj/tr/cap are set by the Internet (EnableFaultInjection,
 	// EnableTracing, CaptureLink) before the simulation runs.
@@ -142,7 +153,12 @@ func (l *Link) IsDown() bool { return l.down }
 
 // AddHook appends a netem hook observing both directions, run in
 // registration order; the first Drop wins.
-func (l *Link) AddHook(h Hook) { l.hooks = append(l.hooks, h) }
+func (l *Link) AddHook(h Hook) {
+	if l.hooked == nil {
+		l.hooked = new([2]hookScratch)
+	}
+	l.hooks = append(l.hooks, h)
+}
 
 // Stats returns both directions' counters (a->b, b->a — the a side is the
 // first node named when the link was built).
@@ -285,15 +301,13 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 	}
 	// Netem hooks: inspect / alter / delay / drop.
 	if len(l.hooks) > 0 {
-		ev := FrameEvent{Link: l.Name, Dir: h.dir, Frame: &f, Depart: departed, ExtraDelay: extra}
-		for _, hook := range l.hooks {
-			if hook(&ev) == Drop {
-				h.stats.HookDropped++
-				h.drop(f, departed, "hook-drop")
-				return
-			}
+		var verdict Verdict
+		f, extra, verdict = h.runHooks(f, departed, extra)
+		if verdict == Drop {
+			h.stats.HookDropped++
+			h.drop(f, departed, "hook-drop")
+			return
 		}
-		extra = ev.ExtraDelay
 	}
 	// Link-bandwidth serialization (bottleneck links).
 	start := departed
@@ -319,6 +333,28 @@ func (h *half) Transmit(f sal.NetFrame, departed sim.Time) {
 		h.stats.Duplicated++
 		h.deliver(cloneFrame(f), arrival)
 	}
+}
+
+// runHooks shows f to the link's hooks in registration order, stopping at
+// the first Drop, and returns the frame as they left it with the delay
+// they accumulated. The FrameEvent and frame they see live in the
+// direction's scratch and are reused for the next frame.
+func (h *half) runHooks(f sal.NetFrame, departed sim.Time, extra sim.Duration) (sal.NetFrame, sim.Duration, Verdict) {
+	s := &h.link.hooked[0]
+	if h == h.link.ba {
+		s = &h.link.hooked[1]
+	}
+	s.frame = f
+	s.ev = FrameEvent{Link: h.link.Name, Dir: h.dir, Frame: &s.frame, Depart: departed, ExtraDelay: extra}
+	verdict := Pass
+	for _, hook := range h.link.hooks {
+		if verdict = hook(&s.ev); verdict == Drop {
+			break
+		}
+	}
+	f, extra = s.frame, s.ev.ExtraDelay
+	s.frame = sal.NetFrame{}
+	return f, extra, verdict
 }
 
 // deliver commits one frame arrival: digest, capture, trace, then the far

@@ -141,7 +141,31 @@ func TestConversationDeadline(t *testing.T) {
 // TestConversationDetectsCorruption: a link hook flips one payload byte in
 // one mid-stream data segment of one conversation. That conversation must
 // come back Corrupt; the others, sharing the topology, must come back clean.
+// The receiver checks a word at a time, so the flip is tried at every
+// offset of the segment's first two words, in its middle, and at every byte
+// of its trailing partial word.
 func TestConversationDetectsCorruption(t *testing.T) {
+	const mss = netstack.DefaultMSS
+	if mss%8 == 0 {
+		t.Fatal("MSS-sized segments end on a word boundary; no partial word to test")
+	}
+	var offsets []int
+	for off := 0; off < 16; off++ {
+		offsets = append(offsets, off)
+	}
+	offsets = append(offsets, mss/2)
+	for off := mss - mss%8; off < mss; off++ {
+		offsets = append(offsets, off)
+	}
+	for _, off := range offsets {
+		t.Run(fmt.Sprintf("offset%d", off), func(t *testing.T) { corruptOneByte(t, off) })
+	}
+}
+
+// corruptOneByte flips the byte at offset off of the fifth full-sized data
+// segment of the conversation to port 4001 and checks that exactly that
+// conversation reports corruption.
+func corruptOneByte(t *testing.T, off int) {
 	in, err := Star(4, edge, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -150,11 +174,11 @@ func TestConversationDetectsCorruption(t *testing.T) {
 	segments, flipped := 0, false
 	in.Link("h1~s0").AddHook(func(ev *FrameEvent) Verdict {
 		pkt, ok := ev.Frame.Payload.(*netstack.Packet)
-		if !ok || flipped || pkt.Proto != netstack.ProtoTCP || pkt.DstPort != victimPort || len(pkt.Payload) == 0 {
+		if !ok || flipped || pkt.Proto != netstack.ProtoTCP || pkt.DstPort != victimPort || len(pkt.Payload) != netstack.DefaultMSS {
 			return Pass
 		}
 		if segments++; segments == victimSegment {
-			pkt.Payload[len(pkt.Payload)/2] ^= 0x5A
+			pkt.Payload[off] ^= 0x5A
 			flipped = true
 		}
 		return Pass

@@ -1,10 +1,14 @@
 package vnet
 
 import (
+	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
+	"sync"
 	"testing"
+	"time"
 
 	"spin/internal/netstack"
 	"spin/internal/sim"
@@ -39,16 +43,51 @@ func namedStar(seed uint64) (*Internet, error) {
 
 // fetchByName runs the acceptance scenario: an unmodified net/http client
 // resolves web.spin.test through the topology's DNS and fetches the page.
+// It returns only once net/http has closed the connection it dialed: with
+// keep-alives off, the transport's read loop closes the socket after the
+// body is consumed, on its own goroutine, and that close sends a FIN. A
+// caller that drains the simulation afterwards thus sees the FIN inside
+// the drain, not racing with whatever it reads next (link digests).
 func fetchByName(in *Internet) (string, error) {
 	dialer, err := in.Dialer("client")
 	if err != nil {
 		return "", err
 	}
+	var (
+		mu     sync.Mutex
+		dialed []*closeNotifier
+	)
 	httpc := &http.Client{Transport: &http.Transport{
-		DialContext:       dialer.DialContext,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := dialer.DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			c := &closeNotifier{Conn: conn, closed: make(chan struct{})}
+			mu.Lock()
+			dialed = append(dialed, c)
+			mu.Unlock()
+			return c, nil
+		},
 		DisableKeepAlives: true,
 	}}
-	resp, err := httpc.Get("http://web.spin.test/")
+	body, err := get(httpc, "http://web.spin.test/")
+	mu.Lock()
+	conns := dialed
+	mu.Unlock()
+	for _, c := range conns {
+		select {
+		case <-c.closed:
+		case <-time.After(10 * time.Second):
+			return "", errors.New("net/http never closed its connection")
+		}
+	}
+	return body, err
+}
+
+// get fetches url with httpc and returns the body of a 200 response.
+func get(httpc *http.Client, url string) (string, error) {
+	resp, err := httpc.Get(url)
 	if err != nil {
 		return "", err
 	}
@@ -61,6 +100,20 @@ func fetchByName(in *Internet) (string, error) {
 		return "", errors.New("status " + resp.Status)
 	}
 	return string(body), nil
+}
+
+// closeNotifier is a dialed connection that closes its channel once Close
+// has run.
+type closeNotifier struct {
+	net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *closeNotifier) Close() error {
+	err := c.Conn.Close()
+	c.once.Do(func() { close(c.closed) })
+	return err
 }
 
 // End-to-end named service: resolve + dial + HTTP over the 3-machine star,

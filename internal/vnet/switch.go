@@ -71,9 +71,16 @@ type Port struct {
 func (p *Port) Name() string { return p.name }
 
 // DeliverAt schedules the frame's forwarding step on the switch's engine —
-// the endpoint contract links deliver into.
+// the endpoint contract links deliver into. The port is the posted event's
+// handler, so the hop allocates nothing.
 func (p *Port) DeliverAt(t sim.Time, f sal.NetFrame) {
-	p.sw.engine.At(t, func() { p.sw.forward(f) })
+	p.sw.engine.Post(t, p, f.Size, f.Payload)
+}
+
+// Handle runs the forwarding step DeliverAt posted (the port is a
+// sim.Handler) for the frame of the given size carrying payload.
+func (p *Port) Handle(size int, payload any) {
+	p.sw.forward(sal.NetFrame{Size: size, Payload: payload})
 }
 
 // forward runs one frame through the switch at its arrival event: charge

@@ -35,7 +35,13 @@
 #     event, schedule the next) slows more than 2x wall-clock, or
 #   - an idle machine (live heap of a fresh 64-machine star, per machine)
 #     costs more than 1.25x its baseline. Live heap after a full GC is
-#     deterministic; the slack is for deliberate per-machine additions.
+#     deterministic; the slack is for deliberate per-machine additions, or
+#   - a vnet hop allocates at all (frames travel as posted events to
+#     long-lived handlers; zero-alloc is the invariant), or
+#   - a lossless 1 MB TCP transfer allocates more per data segment than
+#     its baseline (any growth fails; the baseline is the measured figure
+#     rounded up to two decimals, because refilling the packet pool after
+#     a GC moves it by about 1%).
 #
 # The dispatch and conn-setup numbers are the min over BENCH_COUNT runs:
 # both are short loops dominated by scheduler noise, so min-of-N is the
@@ -86,6 +92,12 @@ echo "== vnet per-hop forwarding (min of $runs runs) =="
 vnet_out=$(go test -run '^$' -bench 'VnetHop$' -benchtime=20000x -count="$runs" ./internal/vnet/)
 echo "$vnet_out"
 vnet_hop_ns=$(metric "$vnet_out" BenchmarkVnetHop "vnet-hop-ns" | sort -g | head -1)
+vnet_hop_allocs=$(metric "$vnet_out" BenchmarkVnetHop "allocs/op" | sort -g | head -1)
+
+echo "== TCP bulk send allocations (min of $runs runs) =="
+send_out=$(go test -run '^$' -bench 'TCPBulkSend$' -benchtime=20x -count="$runs" .)
+echo "$send_out"
+tcp_send_allocs_per_seg=$(metric "$send_out" BenchmarkTCPBulkSend "allocs/seg" | sort -g | head -1)
 
 echo "== naming: resolve + dial virtual latency =="
 name_out=$(go test -run '^$' -bench 'DNSResolve$|DialEstablished$' -benchtime=3x .)
@@ -126,7 +138,7 @@ idle_out=$(go test -run '^$' -bench 'IdleMachineHeap$' -benchtime=1x ./internal/
 echo "$idle_out"
 idle_machine_heap_kb=$(metric "$idle_out" BenchmarkIdleMachineHeap "idle-machine-heap-kb")
 
-for v in "$dispatch_ns" "$forkjoin" "$pingpong" "$mk1" "$mk4" "$conn_setup_ns" "$rx_allocs" "$vnet_hop_ns" "$dns_resolve_ns" "$dial_established_ns" "$lb_pick_ns" "$lb_pick_allocs" "$failover_reconverge_ns" "$bcode_filter_ns" "$bcode_filter_allocs" "$bcode_interp_ns" "$rx_bare_ns" "$rx_xdp_ns" "$frame_digest_ns" "$frame_digest_allocs" "$cluster_step_ns" "$idle_machine_heap_kb"; do
+for v in "$dispatch_ns" "$forkjoin" "$pingpong" "$mk1" "$mk4" "$conn_setup_ns" "$rx_allocs" "$vnet_hop_ns" "$dns_resolve_ns" "$dial_established_ns" "$lb_pick_ns" "$lb_pick_allocs" "$failover_reconverge_ns" "$bcode_filter_ns" "$bcode_filter_allocs" "$bcode_interp_ns" "$rx_bare_ns" "$rx_xdp_ns" "$frame_digest_ns" "$frame_digest_allocs" "$cluster_step_ns" "$idle_machine_heap_kb" "$vnet_hop_allocs" "$tcp_send_allocs_per_seg"; do
   if [ -z "$v" ]; then
     echo "FAIL: could not parse a benchmark metric" >&2
     exit 1
@@ -157,7 +169,9 @@ cat > "$out" <<JSON
   "frame_digest_ns": $frame_digest_ns,
   "frame_digest_allocs": $frame_digest_allocs,
   "cluster_step_ns": $cluster_step_ns,
-  "idle_machine_heap_kb": $idle_machine_heap_kb
+  "idle_machine_heap_kb": $idle_machine_heap_kb,
+  "vnet_hop_allocs": $vnet_hop_allocs,
+  "tcp_send_allocs_per_seg": $tcp_send_allocs_per_seg
 }
 JSON
 echo "wrote $out:"
@@ -323,5 +337,21 @@ awk -v cur="$idle_machine_heap_kb" -v base="$base_idle" 'BEGIN {
   limit = base * 1.25
   printf "idle machine heap: %s KB/machine (baseline %s, limit %.2f)\n", cur, base, limit
   if (cur + 0 > limit) { print "FAIL: idle machine heap grew >25% vs committed baseline"; exit 1 }
+}'
+# Data-path allocations: a frame hop and a bulk TCP segment. Both gates are
+# strict (any growth over the baseline fails).
+base_hop_allocs=$(awk -F'[:,]' '/"vnet_hop_allocs"/ {gsub(/[[:space:]]/, "", $2); print $2}' "$baseline")
+base_send_allocs=$(awk -F'[:,]' '/"tcp_send_allocs_per_seg"/ {gsub(/[[:space:]]/, "", $2); print $2}' "$baseline")
+if [ -z "$base_hop_allocs" ] || [ -z "$base_send_allocs" ]; then
+  echo "FAIL: no vnet_hop_allocs / tcp_send_allocs_per_seg in $baseline" >&2
+  exit 1
+fi
+awk -v cur="$vnet_hop_allocs" -v base="$base_hop_allocs" 'BEGIN {
+  printf "vnet hop: %s allocs/datagram (baseline %s; any growth fails)\n", cur, base
+  if (cur + 0 > base + 0) { print "FAIL: vnet frame hop started allocating"; exit 1 }
+}'
+awk -v cur="$tcp_send_allocs_per_seg" -v base="$base_send_allocs" 'BEGIN {
+  printf "tcp bulk send: %s allocs/segment (baseline %s; any growth fails)\n", cur, base
+  if (cur + 0 > base + 0) { print "FAIL: TCP bulk send allocates more per segment than its baseline"; exit 1 }
 }'
 echo "bench smoke OK"
