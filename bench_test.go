@@ -16,6 +16,7 @@ import (
 	"spin/internal/bcode"
 	"spin/internal/bench"
 	"spin/internal/dispatch"
+	"spin/internal/fs"
 	"spin/internal/netstack"
 	"spin/internal/sal"
 	"spin/internal/sim"
@@ -549,6 +550,61 @@ func BenchmarkTCPBulkSend(b *testing.B) {
 		b.Fatalf("%d connections left", n)
 	}
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*segs), "allocs/seg")
+}
+
+// BenchmarkHTTPGetExchange measures one in-kernel HTTP GET of a
+// 3,000-byte document between the two hosts of a star, from connect to
+// both ends retired: the document is read through the web cache's
+// uncached path, so the file system, the HTTP server and client and TCP
+// all run per iteration. segments/op counts frames on the client's spoke
+// (the smoke gate holds it exact: a duplicate FIN, a stray RST or an
+// unpiggybacked ACK changes it) and allocs/op the host allocations (the
+// gate fails on any growth).
+func BenchmarkHTTPGetExchange(b *testing.B) {
+	in, err := vnet.Star(2, vnet.LinkModel{Latency: 50 * sim.Microsecond}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, server := in.Machine("h0"), in.Machine("h1")
+	doc := make([]byte, 3000)
+	for i := range doc {
+		doc[i] = byte(i * 7)
+	}
+	if err := server.FS.Create("/doc", doc); err != nil {
+		b.Fatal(err)
+	}
+	// A 1 KB threshold makes the document "large": uncached.
+	cache := fs.NewWebCache(server.FS, 64<<10, 1<<10)
+	if _, err := netstack.NewHTTPServer(server.Stack, 80, netstack.InKernelDelivery, cache); err != nil {
+		b.Fatal(err)
+	}
+	segs := 0
+	in.Link("h0~s0").AddHook(func(*vnet.FrameEvent) vnet.Verdict { segs++; return vnet.Pass })
+	got := 0
+	done := func(_ string, body []byte) { got = len(body) }
+	get := func() {
+		err = netstack.HTTPGet(client.Stack, server.Stack.IP, 80, "/doc", netstack.InKernelDelivery, done)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got = 0
+		// Start once the server's clock has caught up: draining the last
+		// exchange ran it through TIME_WAIT, past the client's.
+		client.Engine.At(max(client.Engine.Now(), server.Engine.Now()), get)
+		in.Run(0) // the exchange, then TIME_WAIT retires the server's end
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got != len(doc) {
+			b.Fatalf("got a %d-byte body, want %d", got, len(doc))
+		}
+	}
+	b.StopTimer()
+	if n := client.Stack.TCP().Conns() + server.Stack.TCP().Conns(); n != 0 {
+		b.Fatalf("%d connections left", n)
+	}
+	b.ReportMetric(float64(segs)/float64(b.N), "segments/op")
 }
 
 // benchFilterProg is the canonical PR-10 packet filter: UDP to the given

@@ -143,25 +143,22 @@ func (f *FileSystem) read(name string, cached bool) ([]byte, error) {
 	out := make([]byte, 0, ino.size)
 	remaining := ino.size
 	for _, b := range ino.blocks {
-		var blk []byte
-		if cached {
-			if hit, ok := f.cache.Get(b); ok {
-				// Memory-speed copy.
-				f.clock.Advance(sim.Duration(len(hit)/8) * 16)
-				blk = hit
-			} else {
-				blk = f.disk.ReadBlock(b)
-				f.cache.Put(b, blk)
-			}
+		n := min(sal.DiskBlockSize, remaining)
+		remaining -= n
+		if !cached {
+			// Straight from the disk into out: no block-sized copy.
+			out = f.disk.AppendBlock(out, b, n)
+			continue
+		}
+		blk, ok := f.cache.Get(b)
+		if ok {
+			// Memory-speed copy.
+			f.clock.Advance(sim.Duration(len(blk)/8) * 16)
 		} else {
 			blk = f.disk.ReadBlock(b)
-		}
-		n := sal.DiskBlockSize
-		if n > remaining {
-			n = remaining
+			f.cache.Put(b, blk)
 		}
 		out = append(out, blk[:n]...)
-		remaining -= n
 	}
 	return out, nil
 }

@@ -120,6 +120,25 @@ func TestUncachedPathBypassesCache(t *testing.T) {
 	}
 }
 
+// TestUncachedReadCopiesOnce: the uncached path reads each block straight
+// into the result, so a read allocates the result and nothing else.
+func TestUncachedReadCopiesOnce(t *testing.T) {
+	f, _ := newFS(t, 16)
+	data := make([]byte, 2*sal.DiskBlockSize+100)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	_ = f.Create("/big", data)
+	var got []byte
+	allocs := testing.AllocsPerRun(10, func() { got, _ = f.ReadUncached("/big") })
+	if !bytes.Equal(got, data) {
+		t.Fatal("uncached read differs from the file")
+	}
+	if allocs != 1 {
+		t.Errorf("uncached read made %v allocations, want 1", allocs)
+	}
+}
+
 func TestBufferCacheLRU(t *testing.T) {
 	c := NewBufferCache(2)
 	c.Put(1, []byte("a"))

@@ -2,8 +2,8 @@ package netstack
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // HTTPContent supplies document bodies to the in-kernel HTTP server. The
@@ -49,11 +49,15 @@ func NewHTTPServerOwned(owner string, stack *Stack, port uint16, cost DeliveryCo
 	err := stack.TCP().ListenOwned(owner, port, cost, func(c *Conn) {
 		var reqBuf []byte
 		c.OnData = func(c *Conn, data []byte) {
+			if reqBuf == nil && bytes.Contains(data, headerEnd) {
+				h.serve(c, data) // the whole request in one segment
+				return
+			}
 			reqBuf = append(reqBuf, data...)
-			if !strings.Contains(string(reqBuf), "\r\n\r\n") {
+			if !bytes.Contains(reqBuf, headerEnd) {
 				return // request incomplete
 			}
-			h.serve(c, string(reqBuf))
+			h.serve(c, reqBuf)
 			reqBuf = nil
 		}
 	})
@@ -63,10 +67,17 @@ func NewHTTPServerOwned(owner string, stack *Stack, port uint16, cost DeliveryCo
 	return h, nil
 }
 
-// serve parses one request and sends the response on the connection. When
-// tracing is enabled the whole serve — parse, content lookup, response
-// send — is one sample in the "net.http.serve" latency series.
-func (h *HTTPServer) serve(c *Conn, req string) {
+// crlf ends an HTTP line, headerEnd a header block.
+var (
+	crlf      = []byte("\r\n")
+	headerEnd = []byte("\r\n\r\n")
+)
+
+// serve parses one request and sends the response on the connection; req
+// is only read during the call. When tracing is enabled the whole serve —
+// parse, content lookup, response send — is one sample in the
+// "net.http.serve" latency series.
+func (h *HTTPServer) serve(c *Conn, req []byte) {
 	if tr := h.stack.disp.Tracer(); tr != nil {
 		start := h.stack.clock.Now()
 		defer func() {
@@ -76,16 +87,15 @@ func (h *HTTPServer) serve(c *Conn, req string) {
 	h.serve1(c, req)
 }
 
-func (h *HTTPServer) serve1(c *Conn, req string) {
-	line, _, _ := strings.Cut(req, "\r\n")
-	fields := strings.Fields(line)
-	if len(fields) < 2 || fields[0] != "GET" {
+func (h *HTTPServer) serve1(c *Conn, req []byte) {
+	line, _, _ := bytes.Cut(req, crlf)
+	fields := bytes.Fields(line)
+	if len(fields) < 2 || string(fields[0]) != "GET" {
 		_ = c.Send([]byte("HTTP/1.0 400 Bad Request\r\n\r\n"))
 		c.Close()
 		return
 	}
-	path := fields[1]
-	body, ok := h.content.Get(path)
+	body, ok := h.content.Get(string(fields[1]))
 	if !ok {
 		h.NotFound++
 		_ = c.Send([]byte("HTTP/1.0 404 Not Found\r\n\r\n"))
@@ -93,10 +103,19 @@ func (h *HTTPServer) serve1(c *Conn, req string) {
 		return
 	}
 	h.Requests++
-	head := fmt.Sprintf("HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n", len(body))
-	_ = c.Send(append([]byte(head), body...))
+	// Header and body go out as one write: the send queue copies each
+	// once, into one chunk, and segments them as if they were one slice.
+	var buf [64]byte
+	head := append(buf[:0], "HTTP/1.0 200 OK\r\nContent-Length: "...)
+	head = strconv.AppendInt(head, int64(len(body)), 10)
+	head = append(head, headerEnd...)
+	_ = c.Send(head, body)
 	c.Close()
 }
+
+// maxReserve bounds how much of a response HTTPGet reserves up front from
+// its Content-Length; a larger body grows as it arrives.
+const maxReserve = 1 << 20
 
 // HTTPGet performs one HTTP transaction from this stack to server:port,
 // invoking done with the response body when the transfer completes (the
@@ -111,7 +130,26 @@ func HTTPGet(stack *Stack, server IPAddr, port uint16, path string, cost Deliver
 	conn.OnConnect = func(c *Conn) {
 		_ = c.Send([]byte("GET " + path + " HTTP/1.0\r\n\r\n"))
 	}
+	sized := false
 	conn.OnData = func(c *Conn, data []byte) {
+		if !sized {
+			// Once the header is in, size resp for the whole response —
+			// before the segment that completes the header is copied, so
+			// a header in the first segment costs no regrowth at all.
+			head := data
+			if len(resp) > 0 {
+				resp = append(resp, data...)
+				head, data = resp, nil
+			}
+			if i := bytes.Index(head, headerEnd); i >= 0 {
+				sized = true
+				if n, ok := contentLength(head[:i]); ok {
+					if extra := i + len(headerEnd) + min(n, maxReserve) - len(resp); extra > 0 {
+						resp = slices.Grow(resp, extra)
+					}
+				}
+			}
+		}
 		resp = append(resp, data...)
 	}
 	conn.OnClose = func(c *Conn) {
@@ -133,4 +171,18 @@ func HTTPGet(stack *Stack, server IPAddr, port uint16, path string, cost Deliver
 		done(string(status), body)
 	}
 	return nil
+}
+
+// contentLength returns the Content-Length value in an HTTP header block.
+func contentLength(header []byte) (int, bool) {
+	const name = "content-length:"
+	for len(header) > 0 {
+		var line []byte
+		line, header, _ = bytes.Cut(header, crlf)
+		if len(line) > len(name) && bytes.EqualFold(line[:len(name)], []byte(name)) {
+			n, err := strconv.Atoi(string(bytes.TrimSpace(line[len(name):])))
+			return n, err == nil && n >= 0
+		}
+	}
+	return 0, false
 }

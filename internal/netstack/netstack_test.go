@@ -393,6 +393,71 @@ func TestHTTPGetBodyBytes(t *testing.T) {
 	}
 }
 
+// TestHTTPSplitHeaders: a request whose header spans two segments is
+// served once complete, and a response whose header spans two segments
+// (HTTPGet sizes its buffer from Content-Length once the header is in)
+// yields the right status and body.
+func TestHTTPSplitHeaders(t *testing.T) {
+	a, b, cl := pair(t, sal.LanceModel)
+	if _, err := NewHTTPServer(b.stack, 80, nil, ContentMap{"/doc": []byte("spin")}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := a.stack.TCP().Connect(Addr(10, 0, 0, 2), 80, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp []byte
+	conn.OnConnect = func(c *Conn) {
+		_ = c.Send([]byte("GET /doc HT"))
+		_ = c.Send([]byte("TP/1.0\r\n\r\n"))
+	}
+	conn.OnData = func(_ *Conn, d []byte) { resp = append(resp, d...) }
+	conn.OnClose = func(c *Conn) { _ = c.Close() }
+	cl.Run(0)
+	if want := "HTTP/1.0 200 OK\r\nContent-Length: 4\r\n\r\nspin"; string(resp) != want {
+		t.Errorf("split request answered %q, want %q", resp, want)
+	}
+
+	if err := b.stack.TCP().Listen(81, nil, func(c *Conn) {
+		c.OnData = func(c *Conn, _ []byte) {
+			_ = c.Send([]byte("HTTP/1.0 200 OK\r\nContent-Le"))
+			_ = c.Send([]byte("ngth: 5\r\n\r\nhello"))
+			_ = c.Close()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var status, body string
+	if err := HTTPGet(a.stack, Addr(10, 0, 0, 2), 81, "/", nil, func(s string, b []byte) {
+		status, body = s, string(b)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(0)
+	if status != "HTTP/1.0 200 OK" || body != "hello" {
+		t.Errorf("split response gave status %q body %q", status, body)
+	}
+}
+
+func TestContentLength(t *testing.T) {
+	for header, want := range map[string]int{
+		"HTTP/1.0 200 OK\r\nContent-Length: 42":          42,
+		"HTTP/1.0 200 OK\r\nX: y\r\ncontent-length:7":    7,
+		"HTTP/1.0 200 OK\r\nContent-Length: -1":          -1,
+		"HTTP/1.0 200 OK\r\nContent-Length: x":           -1,
+		"HTTP/1.0 200 OK\r\nContent-Type: text/html":     -1,
+		"HTTP/1.0 200 OK\r\nX-Content-Length: 3\r\nA: b": -1,
+	} {
+		n, ok := contentLength([]byte(header))
+		if !ok {
+			n = -1
+		}
+		if n != want {
+			t.Errorf("contentLength(%q) = %d, want %d", header, n, want)
+		}
+	}
+}
+
 func TestHTTP404(t *testing.T) {
 	a, b, cl := pair(t, sal.LanceModel)
 	srv, _ := NewHTTPServer(b.stack, 80, nil, ContentMap{})

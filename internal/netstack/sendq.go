@@ -10,9 +10,9 @@ const maxSendChunk = 64 << 10
 // copies straight out into the segment's pooled packet; acknowledgements
 // free bytes from the front a whole chunk at a time.
 //
-// Chunks are sized to the writes: a new chunk holds the write that needs
-// it or, if larger, as many bytes as are already queued (so a long
-// transfer allocates O(log n) growing chunks up to maxSendChunk, then
+// Chunks are sized to the writes: a new chunk holds the rest of the write
+// that needs it or, if larger, as many bytes as are already queued (so a
+// long transfer allocates O(log n) growing chunks up to maxSendChunk, then
 // fixed ones), and a 30-byte request allocates 30 bytes.
 type sendQueue struct {
 	// chunks[0][head:] are the oldest queued bytes; the last chunk takes
@@ -22,20 +22,28 @@ type sendQueue struct {
 	n      int // bytes queued
 }
 
-// write appends p to the queue.
-func (q *sendQueue) write(p []byte) {
-	for len(p) > 0 {
-		if k := len(q.chunks); k > 0 {
-			last := q.chunks[k-1]
-			if m := copy(last[len(last):cap(last)], p); m > 0 {
-				q.chunks[k-1] = last[:len(last)+m]
-				q.n += m
-				p = p[m:]
-				continue
+// write appends the concatenation of parts to the queue as one write: a
+// header and body written together share one chunk.
+func (q *sendQueue) write(parts ...[]byte) {
+	rest := 0
+	for _, p := range parts {
+		rest += len(p)
+	}
+	for _, p := range parts {
+		for len(p) > 0 {
+			if k := len(q.chunks); k > 0 {
+				last := q.chunks[k-1]
+				if m := copy(last[len(last):cap(last)], p); m > 0 {
+					q.chunks[k-1] = last[:len(last)+m]
+					q.n += m
+					rest -= m
+					p = p[m:]
+					continue
+				}
 			}
+			size := min(max(rest, q.n), maxSendChunk)
+			q.chunks = append(q.chunks, make([]byte, 0, size))
 		}
-		size := min(max(len(p), q.n), maxSendChunk)
-		q.chunks = append(q.chunks, make([]byte, 0, size))
 	}
 }
 

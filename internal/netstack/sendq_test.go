@@ -32,7 +32,13 @@ func TestSendQueueModel(t *testing.T) {
 					p[i] = next
 					next += 13
 				}
-				q.write(p)
+				// Some writes come in parts, as a header and body do.
+				if rng.Intn(2) == 0 {
+					cut := rng.Intn(n + 1)
+					q.write(p[:cut], nil, p[cut:])
+				} else {
+					q.write(p)
+				}
 				ref = append(ref, p...)
 			case 1:
 				if len(ref) == 0 {
@@ -83,12 +89,18 @@ func crossesChunk(q *sendQueue, off, n int) bool {
 }
 
 // TestSendQueueSmallWriteSizedToWrite: a request-sized write allocates a
-// request-sized chunk, not a fixed large one.
+// request-sized chunk, not a fixed large one, and a write in parts — a
+// response header and body — one chunk sized for all of them.
 func TestSendQueueSmallWriteSizedToWrite(t *testing.T) {
 	var q sendQueue
 	q.write(make([]byte, 30))
 	if len(q.chunks) != 1 || cap(q.chunks[0]) != 30 {
 		t.Fatalf("30-byte write made chunks of cap %d", cap(q.chunks[0]))
+	}
+	var r sendQueue
+	r.write(make([]byte, 40), make([]byte, 3000))
+	if len(r.chunks) != 1 || cap(r.chunks[0]) != 3040 {
+		t.Fatalf("40+3000-byte write made %d chunks, the first of cap %d", len(r.chunks), cap(r.chunks[0]))
 	}
 }
 

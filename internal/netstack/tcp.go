@@ -67,6 +67,9 @@ var (
 	// Close in SYN_SENT that discards data queued before the handshake
 	// completed.
 	ErrClosed = errors.New("netstack: connection closed")
+	// ErrReset reports that the peer reset the connection: it refused the
+	// connection or gave up on it. It wraps ErrClosed.
+	ErrReset = fmt.Errorf("%w: reset by peer", ErrClosed)
 )
 
 // timeWaitDelay is the TIME_WAIT linger before the connection is reaped.
@@ -289,6 +292,11 @@ type Conn struct {
 
 	peerClosed bool
 	closed     bool
+
+	// segs counts the segments this connection has sent. A caller that
+	// owes the peer an ACK compares it across a callback: any segment the
+	// callback sent carried rcvNxt, so the ACK rode on it.
+	segs uint32
 }
 
 // State reports the connection state. Safe to call from any goroutine.
@@ -311,8 +319,9 @@ func (c *Conn) Retransmits() int64 { return c.retransmits.Load() }
 func (c *Conn) ZeroWindowProbes() int64 { return c.zeroWndProbes.Load() }
 
 // Err reports why the connection failed: ErrTimedOut after retransmission
-// exhaustion, ErrClosed (wrapped) when a close discarded queued data, nil
-// for connections that closed cleanly or are still alive.
+// exhaustion, ErrReset when the peer reset it, ErrClosed (wrapped) when a
+// close discarded queued data, nil for connections that closed cleanly or
+// are still alive.
 func (c *Conn) Err() error {
 	if p := c.connErr.Load(); p != nil {
 		return *p
@@ -597,14 +606,15 @@ func (t *TCP) Connect(dst IPAddr, port uint16, cost DeliveryCost) (*Conn, error)
 	return c, nil
 }
 
-// Send queues payload for transmission. The bytes are copied once, into
-// the connection's send queue; the caller keeps payload.
-func (c *Conn) Send(payload []byte) error {
+// Send queues the concatenation of parts as one write. The bytes are
+// copied once, into the connection's send queue; the caller keeps parts.
+// Segmentation does not depend on how a write is split into parts.
+func (c *Conn) Send(parts ...[]byte) error {
 	st := c.State()
 	if c.closed || st != StateEstablished && st != StateCloseWait {
 		if !c.closed && st == StateSynSent {
 			// Queue until established.
-			c.sendq().q.write(payload)
+			c.sendq().q.write(parts...)
 			return nil
 		}
 		if c.closed || st == StateClosed {
@@ -612,7 +622,7 @@ func (c *Conn) Send(payload []byte) error {
 		}
 		return errors.New("netstack: send on non-established connection")
 	}
-	c.sendq().q.write(payload)
+	c.sendq().q.write(parts...)
 	c.pump()
 	return nil
 }
@@ -650,18 +660,10 @@ func (c *Conn) Close() error {
 		c.teardown() // cancels any armed retransmit timer
 		return err
 	}
-	c.queueFIN()
-	return nil
-}
-
-func (c *Conn) queueFIN() {
-	// FIN rides after any queued data; represent as zero-data fin
-	// segment appended once the buffer drains.
+	// The FIN rides after any queued data: pump sends it once the queue
+	// has drained, now or from a later ACK.
 	c.pump()
-	if c.snd.unsent() == 0 {
-		c.sendFIN()
-	}
-	// Otherwise pump() sends it once data drains (checked in onAck).
+	return nil
 }
 
 func (c *Conn) sendFIN() {
@@ -673,7 +675,8 @@ func (c *Conn) sendFIN() {
 }
 
 // pump sends as much buffered data as the congestion and peer windows
-// allow.
+// allow, then — once a closing connection's queue has drained — its one
+// FIN.
 func (c *Conn) pump() {
 	st := c.State()
 	if st != StateEstablished && st != StateCloseWait &&
@@ -738,6 +741,7 @@ func (c *Conn) dataSeg(flags TCPFlags, seq uint32, off, n int) *Packet {
 // sendSeg fills in addressing and transmits one segment, donating the
 // packet to the stack.
 func (c *Conn) sendSeg(p *Packet) {
+	c.segs++
 	p.Src = c.tcp.stack.IP
 	p.Dst = c.remote
 	p.Proto = ProtoTCP
@@ -786,13 +790,19 @@ func (c *Conn) lossBackoff() {
 // retxExhausted enforces the retransmission cap: past tcp.maxRetx
 // consecutive unacknowledged retransmissions the connection fails with
 // ErrTimedOut — teardown fires OnClose and removes it from the shard
-// table. Reports true when the caller must stop retransmitting.
+// table. A synchronized connection first sends its peer a RST, so a peer
+// that is alive but unreachable in one direction learns the stream is
+// dead instead of waiting on it forever. Reports true when the caller
+// must stop retransmitting.
 func (c *Conn) retxExhausted() bool {
 	if c.retxAttempts < c.tcp.maxRetx {
 		return false
 	}
 	c.tcp.timedOut.Add(1)
 	c.setErr(ErrTimedOut)
+	if c.State() != StateSynSent {
+		c.sendSeg(c.seg(FlagRST, c.sndNxt, 0))
+	}
 	c.teardown()
 	return true
 }
@@ -1035,6 +1045,12 @@ func (t *TCP) reset(pkt *Packet) {
 func (c *Conn) handle(pkt *Packet) {
 	c.delivery(c.tcp.stack.clock, pkt)
 	if pkt.Flags&FlagRST != 0 {
+		// A reset is the connection's error unless both directions had
+		// already finished: in LAST_ACK or TIME_WAIT it only cuts the
+		// close short (RFC 793).
+		if st := c.State(); st != StateLastAck && st != StateTimeWait {
+			c.setErr(ErrReset)
+		}
 		c.teardown()
 		return
 	}
@@ -1049,11 +1065,14 @@ func (c *Conn) handle(pkt *Packet) {
 			c.setState(StateEstablished)
 			c.retxAttempts = 0
 			c.cancelRetx()
-			c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt))
+			segs := c.segs
 			if c.OnConnect != nil {
 				c.OnConnect(c)
 			}
 			c.pump()
+			// The handshake's final ACK rides on the first data segment
+			// when OnConnect or the queue had one to send.
+			c.ackUnlessSent(segs)
 		}
 		return
 	}
@@ -1110,10 +1129,22 @@ func (c *Conn) onData(pkt *Packet) {
 		return
 	}
 	c.rcvNxt += uint32(len(pkt.Payload))
+	segs := c.segs
 	if c.OnData != nil {
 		c.OnData(c, pkt.Payload)
 	}
-	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt))
+	c.ackUnlessSent(segs) // a response sent by OnData carries the ACK
+}
+
+// ackUnlessSent sends a pure ACK of rcvNxt unless the connection has sent
+// a segment since its segment count was segs: every segment after the
+// handshake carries rcvNxt, so that one already acknowledged it. Only
+// in-order progress may piggyback this way; duplicate ACKs (out-of-order
+// data, a retransmitted FIN) are always sent.
+func (c *Conn) ackUnlessSent(segs uint32) {
+	if c.segs == segs {
+		c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt))
+	}
 }
 
 func (c *Conn) onFIN(pkt *Packet) {
@@ -1126,7 +1157,7 @@ func (c *Conn) onFIN(pkt *Packet) {
 	}
 	c.rcvNxt++
 	c.peerClosed = true
-	c.sendSeg(c.seg(FlagACK, c.sndNxt, c.rcvNxt))
+	segs := c.segs
 	switch c.State() {
 	case StateEstablished:
 		c.setState(StateCloseWait)
@@ -1139,8 +1170,9 @@ func (c *Conn) onFIN(pkt *Packet) {
 		c.startTimeWait()
 	}
 	if c.OnClose != nil && c.State() == StateCloseWait {
-		c.OnClose(c)
+		c.OnClose(c) // a FIN sent by OnClose's Close carries the ACK
 	}
+	c.ackUnlessSent(segs)
 }
 
 func (c *Conn) startTimeWait() {

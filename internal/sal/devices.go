@@ -70,11 +70,18 @@ func NewDisk(clock *sim.Clock) *Disk {
 // ReadBlock returns a copy of block b ("read block 22 from SCSI unit 0").
 // Unwritten blocks read as zeros.
 func (d *Disk) ReadBlock(b int64) []byte {
+	return d.AppendBlock(make([]byte, 0, DiskBlockSize), b, DiskBlockSize)
+}
+
+// AppendBlock appends the first n bytes of block b to dst — the read
+// straight into a caller's buffer, with ReadBlock's device time and no
+// intermediate copy. Unwritten bytes read as zeros.
+func (d *Disk) AppendBlock(dst []byte, b int64, n int) []byte {
 	d.charge(b)
 	d.reads++
-	out := make([]byte, DiskBlockSize)
-	copy(out, d.blocks[b])
-	return out
+	data := d.blocks[b]
+	m := min(n, len(data))
+	return append(append(dst, data[:m]...), make([]byte, n-m)...)
 }
 
 // WriteBlock stores data (truncated/padded to the block size) at block b.

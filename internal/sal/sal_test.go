@@ -1,6 +1,7 @@
 package sal
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,30 @@ func TestDiskReadWrite(t *testing.T) {
 	r, w := d.Stats()
 	if r != 2 || w != 1 {
 		t.Errorf("stats = %d,%d", r, w)
+	}
+}
+
+// TestDiskAppendBlock: AppendBlock appends a block prefix to the caller's
+// buffer — zeros for unwritten bytes — with ReadBlock's device time and
+// read count.
+func TestDiskAppendBlock(t *testing.T) {
+	eng := sim.NewEngine()
+	d := NewDisk(eng.Clock)
+	d.WriteBlock(22, []byte("SCSI unit 0"))
+	start := eng.Clock.Now()
+	got := d.AppendBlock([]byte(">"), 22, 11)
+	if string(got) != ">SCSI unit 0" {
+		t.Errorf("AppendBlock = %q", got)
+	}
+	if took := eng.Clock.Now().Sub(start); took != d.SeekTime+d.TransferPerBlock {
+		t.Errorf("random AppendBlock took %v", took)
+	}
+	zero := d.AppendBlock(nil, 99, 16)
+	if !bytes.Equal(zero, make([]byte, 16)) {
+		t.Errorf("unwritten block appended %v", zero)
+	}
+	if r, _ := d.Stats(); r != 2 {
+		t.Errorf("reads = %d, want 2", r)
 	}
 }
 

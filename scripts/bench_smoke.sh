@@ -41,7 +41,12 @@
 #   - a lossless 1 MB TCP transfer allocates more per data segment than
 #     its baseline (any growth fails; the baseline is the measured figure
 #     rounded up to two decimals, because refilling the packet pool after
-#     a GC moves it by about 1%).
+#     a GC moves it by about 1%), or
+#   - one in-kernel HTTP GET of a 3,000-byte document over a 2-host star
+#     puts any other number of segments on the wire than its baseline (an
+#     exact gate: a duplicate FIN, a stray RST or an ACK that no longer
+#     rides on data changes the count, in either direction), or allocates
+#     more than its baseline (any growth fails).
 #
 # The dispatch and conn-setup numbers are the min over BENCH_COUNT runs:
 # both are short loops dominated by scheduler noise, so min-of-N is the
@@ -133,12 +138,18 @@ frame_digest_ns=$(metric "$simcost_out" BenchmarkFrameDigest "frame-digest-ns" |
 frame_digest_allocs=$(metric "$simcost_out" BenchmarkFrameDigest "allocs/op" | sort -g | head -1)
 cluster_step_ns=$(metric "$simcost_out" BenchmarkClusterStep "cluster-step-ns" | sort -g | head -1)
 
+echo "== HTTP GET exchange: segments and allocations (min of $runs runs) =="
+http_out=$(go test -run '^$' -bench 'HTTPGetExchange$' -benchtime=2000x -count="$runs" .)
+echo "$http_out"
+http_get_segments=$(metric "$http_out" BenchmarkHTTPGetExchange "segments/op" | sort -g | head -1)
+http_get_allocs=$(metric "$http_out" BenchmarkHTTPGetExchange "allocs/op" | sort -g | head -1)
+
 echo "== idle machine heap =="
 idle_out=$(go test -run '^$' -bench 'IdleMachineHeap$' -benchtime=1x ./internal/vnet/)
 echo "$idle_out"
 idle_machine_heap_kb=$(metric "$idle_out" BenchmarkIdleMachineHeap "idle-machine-heap-kb")
 
-for v in "$dispatch_ns" "$forkjoin" "$pingpong" "$mk1" "$mk4" "$conn_setup_ns" "$rx_allocs" "$vnet_hop_ns" "$dns_resolve_ns" "$dial_established_ns" "$lb_pick_ns" "$lb_pick_allocs" "$failover_reconverge_ns" "$bcode_filter_ns" "$bcode_filter_allocs" "$bcode_interp_ns" "$rx_bare_ns" "$rx_xdp_ns" "$frame_digest_ns" "$frame_digest_allocs" "$cluster_step_ns" "$idle_machine_heap_kb" "$vnet_hop_allocs" "$tcp_send_allocs_per_seg"; do
+for v in "$dispatch_ns" "$forkjoin" "$pingpong" "$mk1" "$mk4" "$conn_setup_ns" "$rx_allocs" "$vnet_hop_ns" "$dns_resolve_ns" "$dial_established_ns" "$lb_pick_ns" "$lb_pick_allocs" "$failover_reconverge_ns" "$bcode_filter_ns" "$bcode_filter_allocs" "$bcode_interp_ns" "$rx_bare_ns" "$rx_xdp_ns" "$frame_digest_ns" "$frame_digest_allocs" "$cluster_step_ns" "$idle_machine_heap_kb" "$vnet_hop_allocs" "$tcp_send_allocs_per_seg" "$http_get_segments" "$http_get_allocs"; do
   if [ -z "$v" ]; then
     echo "FAIL: could not parse a benchmark metric" >&2
     exit 1
@@ -171,7 +182,9 @@ cat > "$out" <<JSON
   "cluster_step_ns": $cluster_step_ns,
   "idle_machine_heap_kb": $idle_machine_heap_kb,
   "vnet_hop_allocs": $vnet_hop_allocs,
-  "tcp_send_allocs_per_seg": $tcp_send_allocs_per_seg
+  "tcp_send_allocs_per_seg": $tcp_send_allocs_per_seg,
+  "http_get_segments": $http_get_segments,
+  "http_get_allocs": $http_get_allocs
 }
 JSON
 echo "wrote $out:"
@@ -353,5 +366,21 @@ awk -v cur="$vnet_hop_allocs" -v base="$base_hop_allocs" 'BEGIN {
 awk -v cur="$tcp_send_allocs_per_seg" -v base="$base_send_allocs" 'BEGIN {
   printf "tcp bulk send: %s allocs/segment (baseline %s; any growth fails)\n", cur, base
   if (cur + 0 > base + 0) { print "FAIL: TCP bulk send allocates more per segment than its baseline"; exit 1 }
+}'
+# HTTP GET exchange: the segment count is deterministic virtual traffic, so
+# the gate is exact; the allocation gate is strict (any growth fails).
+base_http_segs=$(awk -F'[:,]' '/"http_get_segments"/ {gsub(/[[:space:]]/, "", $2); print $2}' "$baseline")
+base_http_allocs=$(awk -F'[:,]' '/"http_get_allocs"/ {gsub(/[[:space:]]/, "", $2); print $2}' "$baseline")
+if [ -z "$base_http_segs" ] || [ -z "$base_http_allocs" ]; then
+  echo "FAIL: no http_get_segments / http_get_allocs in $baseline" >&2
+  exit 1
+fi
+awk -v cur="$http_get_segments" -v base="$base_http_segs" 'BEGIN {
+  printf "http get exchange: %s segments (baseline %s; must match exactly)\n", cur, base
+  if (cur + 0 != base + 0) { print "FAIL: HTTP GET exchange puts a different number of segments on the wire than its baseline"; exit 1 }
+}'
+awk -v cur="$http_get_allocs" -v base="$base_http_allocs" 'BEGIN {
+  printf "http get exchange: %s allocs/op (baseline %s; any growth fails)\n", cur, base
+  if (cur + 0 > base + 0) { print "FAIL: HTTP GET exchange allocates more than its baseline"; exit 1 }
 }'
 echo "bench smoke OK"
